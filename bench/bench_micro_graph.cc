@@ -1,9 +1,9 @@
 // Micro-benchmarks of the HSG substrate and ODNET serving path.
 //
 // `--plan-sweep` instead runs the capture/replay comparison: steady-state
-// eager vs plan-replay timing for the serving forward (PredictPlanned) and
-// the train step (TrainStepPlan), at 1 and 8 threads, plus the inference
-// memory-plan statistics, written machine-readably to
+// eager vs plan-replay timing for a synthetic micro-graph and the serving
+// forward (PredictPlanned), at 1 and 8 threads, with plan fusion off and
+// on, plus the inference memory-plan statistics, written machine-readably to
 // BENCH_plan_replay.json. ODNET_BENCH_SMOKE=1 shrinks iteration counts so
 // CI can watch for gross regressions without paying full timing fidelity.
 
@@ -23,7 +23,6 @@
 #include "src/data/encoding.h"
 #include "src/data/fliggy_simulator.h"
 #include "src/data/temporal_features.h"
-#include "src/optim/optimizer.h"
 #include "src/serving/batch_scorer.h"
 #include "src/serving/evaluator.h"
 #include "src/tensor/buffer_arena.h"
@@ -126,13 +125,12 @@ BENCHMARK(BM_OdnetInference)->Arg(10)->Arg(30);
 struct PlanRow {
   std::string section;
   int threads = 0;
-  int fused = -1;          // 1/0: captured with fusion on/off; -1: n/a
+  bool fused = false;      // captured with plan fusion on
   double eager_us = 0.0;   // min-of-rounds mean (headline, noise-robust)
   double replay_us = 0.0;
   bench::LatencyHistogram eager_hist;   // per-iteration distributions
   bench::LatencyHistogram replay_hist;
   tensor::MemoryPlanStats memory;       // this leg's captured plan
-  bool has_memory = false;
 };
 
 // The timed serving batch matches the chunked ranking path: ScoreChunked
@@ -166,7 +164,7 @@ PlanRow TimeServing(int threads, int warmup, int iters, int rounds,
   PlanRow row;
   row.section = "serving";
   row.threads = threads;
-  row.fused = fuse ? 1 : 0;
+  row.fused = fuse;
   for (int i = 0; i < warmup; ++i) (void)model.Predict(batch);
   for (int i = 0; i < warmup; ++i) (void)model.PredictPlanned(batch);
   const std::function<void()> eager = [&] { (void)model.Predict(batch); };
@@ -178,7 +176,6 @@ PlanRow TimeServing(int threads, int warmup, int iters, int rounds,
       bench::TimedRoundsUs(replay, iters, rounds, &row.replay_hist);
   ODNET_CHECK(model.serving_plan_stats().replays >= iters);
   row.memory = model.serving_plan_stats().memory;
-  row.has_memory = true;
   return row;
 }
 
@@ -219,7 +216,7 @@ PlanRow TimeMicroGraph(int threads, int warmup, int iters, int rounds,
   PlanRow row;
   row.section = "micro_graph";
   row.threads = threads;
-  row.fused = fuse ? 1 : 0;
+  row.fused = fuse;
   for (int i = 0; i < warmup; ++i) {
     (void)run_eager();
     (void)plan->Replay({x});
@@ -230,86 +227,6 @@ PlanRow TimeMicroGraph(int threads, int warmup, int iters, int rounds,
   row.replay_us =
       bench::TimedRoundsUs(replay, iters, rounds, &row.replay_hist);
   row.memory = plan->memory_stats();
-  row.has_memory = true;
-  return row;
-}
-
-// One training setup for TimeTrainStep: the embedding-dominated synthetic
-// model of bench_table5 with its own optimizer state and index stream, so
-// twin setups evolve bitwise identically (the dense-equivalent sparse path
-// guarantees it) and neither path inherits the other's optimizer history —
-// the active-row set of the sparse Adam grows with coverage, so sharing
-// state would bill whichever path runs later for the larger set.
-struct TrainSetup {
-  static constexpr int64_t kVocab = 10000;
-  static constexpr int64_t kDim = 16;
-  static constexpr int64_t kHidden = 32;
-  static constexpr int64_t kBatch = 128;
-
-  TrainSetup()
-      : rng(1234),
-        table(tensor::Tensor::Randn({kVocab, kDim}, &rng, 0.05f,
-                                    /*requires_grad=*/true)),
-        w1(tensor::Tensor::Randn({kDim, kHidden}, &rng, 0.05f, true)),
-        w2(tensor::Tensor::Randn({kHidden, 1}, &rng, 0.05f, true)),
-        opt({table, w1, w2}, 0.01),
-        idx_rng(777),
-        indices(static_cast<size_t>(kBatch), 0) {}
-
-  tensor::Tensor Program() {
-    tensor::Tensor emb = tensor::EmbeddingLookup(table, indices, {kBatch});
-    tensor::Tensor h = tensor::Relu(tensor::MatMul(emb, w1));
-    tensor::Tensor logits = tensor::MatMul(h, w2);
-    return tensor::Mean(tensor::Mul(logits, logits));
-  }
-
-  void Step(bool planned) {
-    for (int64_t& ix : indices) ix = idx_rng.UniformInt(0, kVocab - 1);
-    if (planned) {
-      if (plan == nullptr) {
-        plan = tensor::TrainStepPlan::Capture([this] { return Program(); });
-      } else {
-        plan->ReplayForward();
-      }
-      opt.ZeroGrad();
-      plan->ReplayBackward();
-    } else {
-      tensor::Tensor loss = Program();
-      opt.ZeroGrad();
-      loss.Backward();
-    }
-    opt.ClipGradNorm(5.0);
-    opt.Step();
-  }
-
-  util::Rng rng;
-  tensor::Tensor table, w1, w2;
-  optim::Adam opt;
-  util::Rng idx_rng;
-  std::vector<int64_t> indices;
-  std::unique_ptr<tensor::TrainStepPlan> plan;
-};
-
-// Steady-state train-step cost: full eager tape build + Backward vs
-// TrainStepPlan ReplayForward/ReplayBackward, around identical optimizer
-// work on twin setups. Both paths are timed in alternating rounds and the
-// per-iteration minimum is kept (as in TimeServing).
-PlanRow TimeTrainStep(int threads, int warmup, int iters, int rounds) {
-  tensor::ComputeContext::Get().SetNumThreads(threads);
-  TrainSetup eager;
-  TrainSetup planned;
-
-  PlanRow row;
-  row.section = "train_step";
-  row.threads = threads;
-  for (int i = 0; i < warmup; ++i) eager.Step(false);
-  for (int i = 0; i < warmup; ++i) planned.Step(true);
-  const std::function<void()> eager_step = [&] { eager.Step(false); };
-  const std::function<void()> planned_step = [&] { planned.Step(true); };
-  row.eager_us =
-      bench::TimedRoundsUs(eager_step, iters, rounds, &row.eager_hist);
-  row.replay_us =
-      bench::TimedRoundsUs(planned_step, iters, rounds, &row.replay_hist);
   return row;
 }
 
@@ -337,9 +254,6 @@ int RunPlanSweep() {
                   fuse ? 1 : 0);
       std::fflush(stdout);
     }
-    rows.push_back(TimeTrainStep(threads, warmup, iters, rounds));
-    std::printf("finished train_step threads=%d\n", threads);
-    std::fflush(stdout);
   }  // rows are move-only (histograms); iterate by reference below
 
   // Memory-plan statistics of the serving plan (thread-independent).
@@ -369,9 +283,8 @@ int RunPlanSweep() {
   for (const PlanRow& row : rows) {
     const double speedup =
         row.replay_us > 0.0 ? row.eager_us / row.replay_us : 0.0;
-    const char* fusion_label =
-        row.fused < 0 ? "-" : (row.fused == 1 ? "on" : "off");
-    table.AddRow({row.section, std::to_string(row.threads), fusion_label,
+    table.AddRow({row.section, std::to_string(row.threads),
+                  row.fused ? "on" : "off",
                   util::FormatFixed(row.eager_us, 1),
                   util::FormatFixed(row.replay_us, 1),
                   util::FormatFixed(speedup, 2) + "x"});
@@ -379,35 +292,30 @@ int RunPlanSweep() {
     first = false;
     json += "    {\"section\": \"" + row.section +
             "\", \"threads\": " + std::to_string(row.threads) +
-            ", \"fused\": " +
-            (row.fused < 0 ? "null" : (row.fused == 1 ? "true" : "false")) +
+            ", \"fused\": " + (row.fused ? "true" : "false") +
             ", \"eager_us\": " + util::FormatFixed(row.eager_us, 2) +
             ", \"replay_us\": " + util::FormatFixed(row.replay_us, 2) +
             ", \"speedup\": " + util::FormatFixed(speedup, 3) + ", " +
             row.eager_hist.JsonFields("eager_") + ", " +
-            row.replay_hist.JsonFields("replay_");
-    if (row.has_memory) {
-      json += ", \"plan\": {\"num_nodes\": " +
-              std::to_string(row.memory.num_nodes) +
-              ", \"fused_nodes\": " + std::to_string(row.memory.fused_nodes) +
-              ", \"folded_nodes\": " +
-              std::to_string(row.memory.folded_nodes) +
-              ", \"elided_values\": " +
-              std::to_string(row.memory.elided_values) +
-              ", \"peak_bytes\": " + std::to_string(row.memory.peak_bytes) +
-              "}";
-    }
-    json += "}";
+            row.replay_hist.JsonFields("replay_") +
+            ", \"plan\": {\"num_nodes\": " +
+            std::to_string(row.memory.num_nodes) +
+            ", \"fused_nodes\": " + std::to_string(row.memory.fused_nodes) +
+            ", \"folded_nodes\": " + std::to_string(row.memory.folded_nodes) +
+            ", \"elided_values\": " +
+            std::to_string(row.memory.elided_values) +
+            ", \"peak_bytes\": " + std::to_string(row.memory.peak_bytes) +
+            "}}";
   }
   // Fusion A/B headline: fused vs unfused replay of the same section at the
   // same thread count (eager is fusion-independent; replay is the product).
   json += "\n  ],\n  \"fusion_ab\": [\n";
   first = true;
   for (const PlanRow& row : rows) {
-    if (row.fused != 1) continue;
+    if (!row.fused) continue;
     const PlanRow* unfused = nullptr;
     for (const PlanRow& other : rows) {
-      if (other.fused == 0 && other.section == row.section &&
+      if (!other.fused && other.section == row.section &&
           other.threads == row.threads) {
         unfused = &other;
       }

@@ -14,34 +14,30 @@
 // BENCH_train_step.json. ODNET_BENCH_SMOKE=1 shrinks the step counts so CI
 // can watch for gross regressions without paying full timing fidelity.
 //
-// `--ps-sweep` adds a `ps_sweep` section to the same JSON: the synchronous
-// data-parallel parameter-server step (sharded embedding store + sliced
-// gradient reduction + ShardedAdam) at vocab 1M over a train_workers x
-// embedding_shards grid. The JSON records hardware_concurrency because the
-// observed speedup is meaningless without it — on a 1-core container the
+// `--ps-sweep` adds a `ps_sweep` section to the same JSON: ODNET training
+// samples/s through OdnetRecommender::Fit (the production trainer, sync
+// parameter-server mode) on FliggySimulator data over a train_workers x
+// embedding_shards grid. The JSON records nproc because the observed
+// speedup is meaningless without it — on a 1-core container the
 // multi-worker rows measure pure orchestration overhead, not parallelism.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/nn/sharded_embedding.h"
+#include "src/baselines/odnet_recommender.h"
 #include "src/optim/optimizer.h"
-#include "src/optim/sharded_adam.h"
 #include "src/serving/evaluator.h"
-#include "src/tensor/buffer_arena.h"
-#include "src/tensor/grad_delta.h"
+#include "src/tensor/compute_context.h"
 #include "src/tensor/ops.h"
+#include "src/util/check.h"
 #include "src/util/rng.h"
 #include "src/util/table.h"
-#include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
 namespace {
@@ -82,162 +78,109 @@ double TimeTrainSteps(int64_t vocab, int mode_id, int warmup, int steps,
   return odnet::bench::TimedRoundUs(step, steps, hist);
 }
 
-// One synchronous data-parallel parameter-server step over the same
-// synthetic model at parameter-server scale (vocab-row embedding table,
-// batch 512 split into 4 fixed micro-slices). Mirrors the trainer's sync
-// path: each worker replays its slices on a storage-aliased replica,
-// extracts sparse grad_rows deltas, and the reduction accumulates them in
-// slice order under the store's row-ownership partition before
-// ShardedAdam::Step. The slice grid is fixed, so every (workers, shards)
-// cell does identical arithmetic — the timing differences are pure
-// coordination cost (thread spawn, delta routing, shard-parallel apply).
-double TimePsTrainSteps(int64_t vocab, int workers, int num_shards,
-                        int warmup, int steps,
-                        odnet::bench::LatencyHistogram* hist) {
-  using namespace odnet;
-  const int64_t dim = 16;
-  const int64_t hidden = 32;
-  const int64_t batch = 512;
-  const int kSlices = 4;  // fixed micro-slice grid, as in the trainer
-  util::Rng rng(1234);
-  tensor::Tensor table =
-      tensor::Tensor::Randn({vocab, dim}, &rng, 0.05f, /*requires_grad=*/true);
-  tensor::Tensor w1 = tensor::Tensor::Randn({dim, hidden}, &rng, 0.05f, true);
-  tensor::Tensor w2 = tensor::Tensor::Randn({hidden, 1}, &rng, 0.05f, true);
-  std::vector<tensor::Tensor> params{table, w1, w2};
-  nn::ShardedEmbeddingStore::Options opts;
-  opts.num_shards = num_shards;
-  nn::ShardedEmbeddingStore store(params, opts);
-  optim::ShardedAdam opt(&store, 0.01);
+// One cell of the PS sweep: its knobs and the wall time of each of its Fits.
+struct PsCell {
+  int64_t workers = 0;
+  int64_t shards = 0;
+  std::vector<double> fit_seconds;
+  double final_loss = 0.0;
+};
 
-  const int gang = std::min(workers, kSlices);
-  std::vector<std::vector<tensor::Tensor>> replicas(
-      static_cast<size_t>(gang));
-  for (auto& rep : replicas) {
-    for (const tensor::Tensor& p : params) {
-      tensor::Tensor mirror =
-          tensor::Tensor::Zeros(p.shape(), /*requires_grad=*/true);
-      mirror.AliasStorageOf(p);  // shared weights, private grads
-      rep.push_back(mirror);
+// Returns the `ps_sweep` JSON object (and prints the human table). Every
+// cell fits ODNET on the same dataset with the same seed. The 1-worker
+// cells run the single-worker loop (which ignores embedding_shards); all
+// multi-worker cells do the same arithmetic, since the training digest
+// depends on neither workers nor shards (final_loss shows it), so their
+// timing differences are worker parallelism minus coordination cost. Cells
+// are interleaved within each round so a slow spell of the host spreads
+// over all of them. Smoke mode shrinks the dataset and runs one round so CI
+// regenerates the section in seconds.
+std::string RunPsSweep(bool smoke) {
+  using namespace odnet;
+  const int rounds = smoke ? 1 : 5;
+  data::FliggyConfig fc;
+  fc.num_users = smoke ? 120 : 1200;
+  fc.num_cities = smoke ? 25 : 50;
+  data::FliggySimulator simulator(fc);
+  const data::OdDataset dataset = simulator.Generate();
+  core::OdnetConfig base;  // paper defaults, HSGC on
+  base.epochs = smoke ? 1 : 2;
+  const double samples = static_cast<double>(dataset.train_samples.size()) *
+                         static_cast<double>(base.epochs);
+  const unsigned nproc = std::thread::hardware_concurrency();
+
+  std::vector<PsCell> cells;
+  for (int64_t shards : {1, 4}) {
+    for (int64_t workers : {1, 2, 4}) {
+      PsCell cell;
+      cell.workers = workers;
+      cell.shards = shards;
+      cells.push_back(cell);
+    }
+  }
+  std::printf(
+      "\n=== PS training sweep (OdnetRecommender::Fit, %lld users, %zu "
+      "train samples, %lld epochs, %d rounds, %u cores%s) ===\n",
+      static_cast<long long>(fc.num_users), dataset.train_samples.size(),
+      static_cast<long long>(base.epochs), rounds, nproc,
+      smoke ? ", smoke" : "");
+  for (int r = 0; r < rounds; ++r) {
+    for (PsCell& cell : cells) {
+      core::OdnetConfig config = base;
+      config.train_workers = cell.workers;
+      config.embedding_shards = cell.shards;
+      baselines::OdnetRecommender odnet("ODNET", &simulator.atlas(), config);
+      util::Stopwatch watch;
+      const util::Status status = odnet.Fit(dataset);
+      ODNET_CHECK(status.ok()) << status.ToString();
+      cell.fit_seconds.push_back(watch.ElapsedSeconds());
+      cell.final_loss = odnet.train_stats().final_epoch_loss;
+      std::printf("finished round=%d workers=%lld shards=%lld\n", r,
+                  static_cast<long long>(cell.workers),
+                  static_cast<long long>(cell.shards));
+      std::fflush(stdout);
     }
   }
 
-  std::atomic<int64_t> step_counter{0};
-  auto step = [&]() {
-    const int64_t step_id = step_counter.fetch_add(1);
-    const int64_t per = batch / kSlices;
-    std::vector<std::vector<tensor::GradDelta>> slice_deltas(kSlices);
-    std::atomic<int> next_slice{0};
-    auto worker_body = [&](int w) {
-      util::ThreadPool::WorkerMark mark;  // nested kernels stay serial
-      auto& rep = replicas[static_cast<size_t>(w)];
-      for (;;) {
-        const int g = next_slice.fetch_add(1);
-        if (g >= kSlices) break;
-        // Index stream keyed by (step, slice) — never by worker — so the
-        // sampled rows (and thus the reduced gradient) are identical for
-        // every cell of the sweep grid.
-        util::Rng idx_rng(util::Rng::StreamSeed(777, step_id, g));
-        std::vector<int64_t> indices(static_cast<size_t>(per));
-        for (int64_t& ix : indices) ix = idx_rng.UniformInt(0, vocab - 1);
-        for (tensor::Tensor& p : rep) p.ZeroGrad();
-        tensor::ArenaScope arena(tensor::BufferArena::ThreadLocal());
-        tensor::Tensor emb = tensor::EmbeddingLookup(rep[0], indices, {per});
-        tensor::Tensor h = tensor::Relu(tensor::MatMul(emb, rep[1]));
-        tensor::Tensor logits = tensor::MatMul(h, rep[2]);
-        tensor::Tensor loss = tensor::Mean(tensor::Mul(logits, logits));
-        loss.Backward();
-        std::vector<tensor::GradDelta> deltas;
-        deltas.reserve(rep.size());
-        for (const tensor::Tensor& p : rep) {
-          deltas.push_back(tensor::ExtractGradDelta(p));
-        }
-        slice_deltas[static_cast<size_t>(g)] = std::move(deltas);
-      }
-    };
-    if (gang == 1) {
-      worker_body(0);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<size_t>(gang));
-      for (int w = 0; w < gang; ++w) threads.emplace_back(worker_body, w);
-      for (std::thread& t : threads) t.join();
-    }
-    // Deterministic reduction: metadata serially, values shard-parallel in
-    // ascending slice order, scale = slice/batch share.
-    opt.ZeroGrad();
-    for (int g = 0; g < kSlices; ++g) {
-      for (size_t p = 0; p < params.size(); ++p) {
-        tensor::MarkDeltaRows(params[p], slice_deltas[g][p]);
-      }
-    }
-    const float scale = 1.0f / static_cast<float>(kSlices);
-    std::vector<std::thread> appliers;
-    appliers.reserve(static_cast<size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      appliers.emplace_back([&, s]() {
-        util::ThreadPool::WorkerMark mark;
-        for (size_t p = 0; p < params.size(); ++p) {
-          for (int g = 0; g < kSlices; ++g) {
-            tensor::AccumulateGradDeltaRows(
-                params[p], slice_deltas[g][p], scale,
-                [&store, p, s](int64_t row) { return store.Owns(p, s, row); });
-          }
-        }
-      });
-    }
-    for (std::thread& t : appliers) t.join();
-    opt.ClipGradNorm(5.0);
-    opt.Step();
-  };
-  for (int i = 0; i < warmup; ++i) step();
-  return odnet::bench::TimedRoundUs(step, steps, hist);
-}
-
-// Returns the `ps_sweep` JSON object (and prints the human table). Smoke
-// mode shrinks vocab and step counts so CI regenerates the section in
-// seconds; the committed full-fidelity file uses vocab 1M.
-std::string RunPsSweep(bool smoke) {
-  using namespace odnet;
-  const int warmup = smoke ? 1 : 3;
-  const int steps = smoke ? 3 : 30;
-  const int64_t vocab = smoke ? 100000 : 1000000;
-  const int worker_grid[] = {1, 2, 4};
-  const int shard_grid[] = {1, 4};
-  const unsigned cores = std::thread::hardware_concurrency();
-
-  std::printf(
-      "\n=== PS train-step sweep (vocab %lld, batch 512, dim 16, %d steps, "
-      "%u cores%s) ===\n",
-      static_cast<long long>(vocab), steps, cores, smoke ? ", smoke" : "");
-  util::AsciiTable table(
-      {"Workers", "Shards", "us/step", "Speedup vs 1 worker"});
-  std::string json = "{\n    \"vocab\": " + std::to_string(vocab) +
-                     ",\n    \"batch\": 512,\n    \"dim\": 16,\n    "
-                     "\"slices\": 4,\n    \"cores\": " +
-                     std::to_string(cores) + ",\n    \"results\": [\n";
-  bool first = true;
-  for (int shards : shard_grid) {
-    double one_worker_us = 0.0;
-    for (int workers : worker_grid) {
-      bench::LatencyHistogram hist;
-      const double us =
-          TimePsTrainSteps(vocab, workers, shards, warmup, steps, &hist);
-      if (workers == 1) one_worker_us = us;
-      const double speedup = us > 0.0 ? one_worker_us / us : 0.0;
-      table.AddRow({std::to_string(workers), std::to_string(shards),
-                    util::FormatFixed(us, 1),
-                    util::FormatFixed(speedup, 2) + "x"});
-      if (!first) json += ",\n";
-      first = false;
-      json += "      {\"workers\": " + std::to_string(workers) +
-              ", \"shards\": " + std::to_string(shards) +
-              ", \"us_per_step\": " + util::FormatFixed(us, 2) +
-              ", \"speedup_vs_one_worker\": " + util::FormatFixed(speedup, 3) +
-              ", " + hist.JsonFields() + "}";
-      std::printf("finished workers=%d shards=%d\n", workers, shards);
-      std::fflush(stdout);
-    }
+  util::AsciiTable table({"Workers", "Shards", "samples/s",
+                          "Speedup vs 1 worker", "Final loss"});
+  std::string json =
+      "{\n    \"entry_point\": \"OdnetRecommender::Fit\",\n    \"users\": " +
+      std::to_string(fc.num_users) +
+      ",\n    \"cities\": " + std::to_string(fc.num_cities) +
+      ",\n    \"train_samples\": " +
+      std::to_string(dataset.train_samples.size()) +
+      ",\n    \"epochs\": " + std::to_string(base.epochs) +
+      ",\n    \"slices\": " + std::to_string(base.train_grad_slices) +
+      ",\n    \"rounds\": " + std::to_string(rounds) +
+      ",\n    \"nproc\": " + std::to_string(nproc) +
+      ",\n    \"compute_threads\": " +
+      std::to_string(tensor::ComputeContext::Get().num_threads()) +
+      ",\n    \"results\": [\n";
+  double one_worker = 0.0;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    PsCell& cell = cells[i];
+    std::sort(cell.fit_seconds.begin(), cell.fit_seconds.end());
+    const double median_s = cell.fit_seconds[cell.fit_seconds.size() / 2];
+    const double per_s = samples / median_s;
+    if (cell.workers == 1) one_worker = per_s;
+    const double speedup = one_worker > 0.0 ? per_s / one_worker : 0.0;
+    table.AddRow({std::to_string(cell.workers), std::to_string(cell.shards),
+                  util::FormatFixed(per_s, 1),
+                  util::FormatFixed(speedup, 2) + "x",
+                  util::FormatFixed(cell.final_loss, 6)});
+    if (i > 0) json += ",\n";
+    json += "      {\"workers\": " + std::to_string(cell.workers) +
+            ", \"shards\": " + std::to_string(cell.shards) +
+            ", \"samples_per_s\": " + util::FormatFixed(per_s, 1) +
+            ", \"speedup_vs_one_worker\": " + util::FormatFixed(speedup, 3) +
+            ", \"fit_s_median\": " + util::FormatFixed(median_s, 3) +
+            ", \"fit_s_min\": " +
+            util::FormatFixed(cell.fit_seconds.front(), 3) +
+            ", \"fit_s_max\": " +
+            util::FormatFixed(cell.fit_seconds.back(), 3) +
+            ", \"final_loss\": " + util::FormatFixed(cell.final_loss, 9) +
+            "}";
   }
   json += "\n    ]\n  }";
   std::printf("\n");

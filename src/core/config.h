@@ -35,33 +35,28 @@ struct OdnetConfig {
   int64_t t_short = 5;   // kept short-term sequence length
   uint64_t seed = 1234;
 
-  /// Capture the train step into a TrainStepPlan on the first batch of each
-  /// shape signature and replay it for subsequent batches (DESIGN.md §10).
-  /// Replay is bitwise identical to the eager step; default off so the
-  /// long-standing eager path stays the reference.
-  bool capture_train_plan = false;
   /// Capture per-shape inference plans in PredictPlanned/serving so
   /// steady-state scoring performs zero graph construction (DESIGN.md §10).
   bool capture_serving_plans = true;
 
   // Data-parallel parameter-server training (DESIGN.md §15). With
   // train_workers == 1 (default) the trainer runs the original
-  // single-threaded loop, bit for bit.
+  // single-threaded loop, bit for bit. core::ValidateTrainingConfig checks
+  // these knobs.
   /// Number of data-parallel trainer workers, each running forward/backward
   /// on its own batch slice against a storage-aliased model replica.
   int64_t train_workers = 1;
   /// Shard count of the ShardedEmbeddingStore the multi-worker trainer
-  /// builds over the model parameters. Never affects numerics in sync mode
-  /// (row updates are independent across rows); it only sets the apply
-  /// parallelism and lock granularity.
+  /// builds over the model parameters. Never affects numerics (row updates
+  /// are independent across rows); it only sets the apply parallelism and
+  /// lock granularity.
   int64_t embedding_shards = 1;
-  /// "sync": barrier per step, gradients reduced in fixed slice order —
-  /// deterministic for any worker/shard count. "async": hogwild-style
-  /// per-shard apply queues drained concurrently with the next slices'
-  /// forward passes — documented non-deterministic.
+  /// Parameter-server mode. The only value is "sync": barrier per step,
+  /// gradients reduced in fixed slice order — deterministic for any
+  /// worker/shard count.
   std::string ps_mode = "sync";
   /// Fixed number of gradient micro-slices each batch is split into for
-  /// multi-worker training. The sync-mode digest depends on this grid (and
+  /// multi-worker training. The training digest depends on this grid (and
   /// the seed), never on train_workers — workers only decide who computes
   /// a slice, not what is computed.
   int64_t train_grad_slices = 4;
@@ -70,7 +65,7 @@ struct OdnetConfig {
   /// "dense-equivalent" (default) — per-step cost scales with batch-distinct
   /// rows while staying bitwise identical to dense updates; "lazy" —
   /// untouched rows are skipped with deferred decay catch-up, an intentional
-  /// numerics change (DESIGN.md §9).
+  /// numerics change (DESIGN.md §9), single-worker only.
   std::string sparse_embedding_updates = "dense-equivalent";
 };
 

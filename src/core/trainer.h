@@ -10,6 +10,7 @@
 #include "src/data/temporal_features.h"
 #include "src/data/types.h"
 #include "src/optim/optimizer.h"
+#include "src/util/status.h"
 
 namespace odnet {
 namespace core {
@@ -22,6 +23,13 @@ struct TrainStats {
   int64_t steps = 0;
 };
 
+/// Checks the training knobs of `config`: train_workers, embedding_shards
+/// and train_grad_slices >= 1, ps_mode "sync", sparse_embedding_updates
+/// "dense-equivalent" or "lazy", and "lazy" only with one worker. Returns
+/// kInvalidArgument naming the first bad knob. OdnetRecommender::Fit
+/// returns this error; OdnetTrainer::Train CHECKs it.
+util::Status ValidateTrainingConfig(const OdnetConfig& config);
+
 /// \brief Minibatch trainer for OdnetModel: shuffled epochs over the train
 /// samples, Adam (paper Sec. V-A-5), Eq. 8 loss.
 ///
@@ -32,17 +40,11 @@ struct TrainStats {
 /// train_workers threads runs forward/backward on storage-aliased model
 /// replicas (one per worker; weights shared, gradients private), and the
 /// per-slice gradients are shipped as sparse tensor::GradDelta bundles to a
-/// ShardedEmbeddingStore whose shards apply them in parallel:
-///
-///   - ps_mode "sync": barrier per step; deltas are reduced onto the master
-///     gradient in fixed slice order and applied with one ShardedAdam step.
-///     The digest is a function of (config, seed, slice grid) only — the
-///     same for every train_workers and embedding_shards value.
-///   - ps_mode "async": hogwild-style; each slice's clipped delta is
-///     enqueued to per-shard apply queues drained by dedicated applier
-///     threads concurrently with the next slices' forward passes. Staleness
-///     and queue depth are exported as trainer.shard.* telemetry;
-///     numerically non-deterministic by design.
+/// ShardedEmbeddingStore. Each step ends at a barrier: the deltas are
+/// reduced onto the master gradient in fixed slice order and applied with
+/// one shard-parallel ShardedAdam step. The digest is a function of
+/// (config, seed, slice grid) only — the same for every train_workers and
+/// embedding_shards value.
 ///
 /// Multi-worker training requires a replica factory (set_replica_factory)
 /// and the "dense-equivalent" sparse update mode.
@@ -52,8 +54,8 @@ class OdnetTrainer {
   OdnetTrainer(OdnetModel* model, const data::OdDataset* dataset,
                const data::TemporalFeatureIndex* temporal);
 
-  /// Runs config.epochs epochs; deterministic given the model config seed
-  /// (ps_mode "sync"; "async" is documented non-deterministic).
+  /// Runs config.epochs epochs; deterministic given the model config seed.
+  /// CHECK-fails when ValidateTrainingConfig rejects the model's config.
   TrainStats Train();
 
   /// Factory for worker model replicas, required when train_workers > 1.

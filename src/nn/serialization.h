@@ -22,8 +22,7 @@ util::Status SaveParameters(const Module& module, const std::string& path);
 /// every shard lock of `store` (in order) for the duration of the write,
 /// so the snapshot can never observe a torn row — appliers mutate rows
 /// only under their owning shard's mutex (DESIGN.md §15). With a null
-/// store this is the plain SaveParameters. Not safe against async/hogwild
-/// CAS appliers, which bypass the shard mutexes by design.
+/// store this is the plain SaveParameters.
 util::Status SaveParameters(const Module& module, const std::string& path,
                             ShardedEmbeddingStore* store);
 

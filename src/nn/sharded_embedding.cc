@@ -1,7 +1,5 @@
 #include "src/nn/sharded_embedding.h"
 
-#include <cstring>
-
 #include "src/util/check.h"
 
 namespace odnet {
@@ -104,33 +102,6 @@ float* ShardedEmbeddingStore::SlotWhole(size_t param, int k) {
   return slots_[param][static_cast<size_t>(s)]
       .slot[static_cast<size_t>(k)]
       .data();
-}
-
-void ShardedEmbeddingStore::ApplySgdRowCas(size_t param, int64_t row,
-                                           const float* g, float lr) {
-  tensor::Tensor& p = params_[param];
-  const int64_t width = p.dim(1);
-  float* w = p.mutable_data() + row * width;
-  for (int64_t j = 0; j < width; ++j) {
-    // CAS loop on the float bit pattern: each applier's subtraction lands
-    // exactly once even under contention. __atomic builtins (rather than
-    // std::atomic_ref, which needs C++20) keep TSan aware of the access.
-    uint32_t* cell = reinterpret_cast<uint32_t*>(w + j);
-    uint32_t observed = __atomic_load_n(cell, __ATOMIC_RELAXED);
-    for (;;) {
-      float current;
-      std::memcpy(&current, &observed, sizeof(current));
-      const float next = current - lr * g[j];
-      uint32_t desired;
-      std::memcpy(&desired, &next, sizeof(desired));
-      if (__atomic_compare_exchange_n(cell, &observed, desired,
-                                      /*weak=*/true, __ATOMIC_RELAXED,
-                                      __ATOMIC_RELAXED)) {
-        break;
-      }
-    }
-  }
-  rows_applied_->Add(1);
 }
 
 }  // namespace nn

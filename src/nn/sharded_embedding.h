@@ -22,19 +22,16 @@ namespace nn {
 /// — {r : HashRow(r) % num_shards == s} of every rank-2 parameter — plus
 /// everything an exclusive owner needs:
 ///
-///   - a mutex serializing applies to the shard's rows (held by the sync
-///     trainer's per-shard apply tasks and the async appliers; taken
-///     all-at-once, in order, by checkpoint serialization);
-///   - the optimizer slot state for its rows (Adam m/v, AdaGrad
-///     accumulators, SGD velocity), packed by local row ordinal so a
-///     shard's state is contiguous and false-sharing-free;
-///   - a lock-free CAS row apply for plain SGD, where the update is a
-///     single fused multiply-subtract per element and a mutex would cost
-///     more than the arithmetic.
+///   - a mutex serializing applies to the shard's rows (held by
+///     ShardedAdam's per-shard apply tasks; taken all-at-once, in order, by
+///     checkpoint serialization);
+///   - the optimizer slot state for its rows (ShardedAdam's m/v), packed
+///     by local row ordinal so a shard's state is contiguous and
+///     false-sharing-free.
 ///
 /// Row ownership is a pure function of the row id — never of the shard
-/// count — and row updates are independent across rows, so synchronous
-/// training digests are identical for every num_shards.
+/// count — and row updates are independent across rows, so training
+/// digests are identical for every num_shards.
 ///
 /// Rank-0/rank-1 parameters (biases, theta) and rank-2 parameters below
 /// `min_rows` are owned whole by shard (param_index % num_shards).
@@ -92,10 +89,9 @@ class ShardedEmbeddingStore {
   /// mutex). Destroying the vector releases in reverse order.
   std::vector<std::unique_lock<std::mutex>> LockAllShards();
 
-  /// Ensures `count` slot arrays exist for `param` (Adam needs 2, AdaGrad
-  /// and SGD momentum 1), zero-initialized: per shard sized
-  /// owned_rows * width for row-sharded params; one full-numel array at the
-  /// owning shard otherwise. Not thread-safe — call before the apply tasks.
+  /// Ensures `count` slot arrays exist for `param` (Adam needs 2),
+  /// zero-initialized: per shard sized owned_rows * width for row-sharded
+  /// params; one full-numel array at the owning shard otherwise. Not thread-safe — call before the apply tasks.
   void EnsureSlots(size_t param, int count);
 
   /// Slot `k` row of a row-sharded param, inside the owning shard's packed
@@ -105,14 +101,6 @@ class ShardedEmbeddingStore {
 
   /// Slot `k` full array of a whole-param parameter.
   float* SlotWhole(size_t param, int k);
-
-  /// Lock-free SGD row apply: w[row][j] -= lr * g[j] via per-element
-  /// compare-and-swap on the float bits. Safe against any number of
-  /// concurrent CAS appliers to the same row (each subtraction is applied
-  /// exactly once; ordering — and therefore float rounding — is not
-  /// deterministic under contention). Does NOT synchronize with the
-  /// mutex-protected apply paths; a training run uses one or the other.
-  void ApplySgdRowCas(size_t param, int64_t row, const float* g, float lr);
 
   /// Adds to the trainer.shard.rows_applied counter (apply paths batch
   /// their count per shard visit).

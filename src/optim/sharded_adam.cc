@@ -83,7 +83,7 @@ std::vector<int64_t> ShardedAdam::ScanActiveRowsPacked(size_t param) {
 void ShardedAdam::Step() {
   ODNET_CHECK(mode_ == SparseUpdateMode::kDenseEquivalent)
       << "ShardedAdam supports only dense-equivalent sparse updates";
-  const int64_t t = t_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const int64_t t = ++t_;
   const float lr_t = AdamLrT(learning_rate_, beta1_, beta2_, t);
   const float b1 = static_cast<float>(beta1_);
   const float b2 = static_cast<float>(beta2_);
@@ -188,124 +188,6 @@ void ShardedAdam::Step() {
     }
     active_rows_[i] = SortedUnion(kept, impl->grad_rows);
   }
-}
-
-void ShardedAdam::ApplyDeltaShard(size_t param, int shard,
-                                  const tensor::GradDelta& delta,
-                                  int64_t step) {
-  ODNET_CHECK_GE(step, 1);
-  const float lr_t = AdamLrT(learning_rate_, beta1_, beta2_, step);
-  const float b1 = static_cast<float>(beta1_);
-  const float b2 = static_cast<float>(beta2_);
-  const float eps = static_cast<float>(eps_);
-  std::unique_lock<std::mutex> lock = store_->AcquireShard(shard);
-  const simd::KernelTable& kt = simd::Kernels();
-  float* data = params_[param].mutable_data();
-  int64_t rows_applied = 0;
-  if (store_->row_sharded(param)) {
-    const int64_t width = params_[param].dim(1);
-    if (delta.row_sparse) {
-      const float* v = delta.values.data();
-      for (size_t r = 0; r < delta.rows.size(); ++r) {
-        const int64_t row = delta.rows[r];
-        if (store_->ShardOfRow(row) != shard) continue;
-        kt.adam_row(data + row * width, store_->SlotRow(param, 0, row),
-                    store_->SlotRow(param, 1, row),
-                    v + r * static_cast<size_t>(width), lr_t, b1, b2, eps,
-                    width);
-        ++rows_applied;
-      }
-    } else {
-      const int64_t vocab = params_[param].dim(0);
-      for (int64_t r = 0; r < vocab; ++r) {
-        if (store_->ShardOfRow(r) != shard) continue;
-        kt.adam_row(data + r * width, store_->SlotRow(param, 0, r),
-                    store_->SlotRow(param, 1, r), delta.values.data() + r * width,
-                    lr_t, b1, b2, eps, width);
-        ++rows_applied;
-      }
-    }
-  } else if (store_->ShardOfParam(param) == shard) {
-    if (delta.row_sparse) {
-      // Tiny rank-2 parameter below min_rows: owned whole, but its grad can
-      // still carry row metadata.
-      float* m = store_->SlotWhole(param, 0);
-      float* v = store_->SlotWhole(param, 1);
-      const float* dv = delta.values.data();
-      for (size_t r = 0; r < delta.rows.size(); ++r) {
-        const int64_t row = delta.rows[r];
-        kt.adam_row(data + row * delta.width, m + row * delta.width,
-                    v + row * delta.width, dv + r * static_cast<size_t>(delta.width),
-                    lr_t, b1, b2, eps, delta.width);
-        ++rows_applied;
-      }
-    } else {
-      kt.adam_row(data, store_->SlotWhole(param, 0),
-                  store_->SlotWhole(param, 1), delta.values.data(), lr_t, b1,
-                  b2, eps, static_cast<int64_t>(delta.values.size()));
-    }
-  }
-  store_->AddRowsApplied(rows_applied);
-}
-
-void ShardedAdam::MarkStateUnknown() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    dense_state_[i] = 1;
-    active_rows_[i].clear();
-  }
-}
-
-ShardedAdaGrad::ShardedAdaGrad(nn::ShardedEmbeddingStore* store, double lr,
-                               double eps)
-    : Optimizer(store->params()), store_(store), eps_(eps) {
-  learning_rate_ = lr;
-  for (size_t i = 0; i < params_.size(); ++i) store_->EnsureSlots(i, 1);
-}
-
-void ShardedAdaGrad::Step() {
-  const float lr = static_cast<float>(learning_rate_);
-  const float eps = static_cast<float>(eps_);
-  const int num_shards = store_->num_shards();
-  for (size_t i = 0; i < params_.size(); ++i) params_[i].impl()->EnsureGrad();
-  auto apply_shard = [&](int s) {
-    std::unique_lock<std::mutex> lock = store_->AcquireShard(s);
-    const simd::AdaGradRowFn row_fn = simd::Kernels().adagrad_row;
-    int64_t rows_applied = 0;
-    for (size_t i = 0; i < params_.size(); ++i) {
-      TensorImpl* impl = params_[i].impl();
-      const float* g = impl->grad.data();
-      float* data = params_[i].mutable_data();
-      if (!store_->row_sharded(i)) {
-        if (store_->ShardOfParam(i) != s) continue;
-        row_fn(data, store_->SlotWhole(i, 0), g, lr, eps,
-               static_cast<int64_t>(impl->grad.size()));
-        continue;
-      }
-      const int64_t width = impl->shape[1];
-      if (RowSparseGrad(i)) {
-        // Untouched rows add +0.0 to a never-negative accumulator and
-        // subtract +0.0 from the weights: skipping is bitwise neutral.
-        for (int64_t row : impl->grad_rows) {
-          if (store_->ShardOfRow(row) != s) continue;
-          row_fn(data + row * width, store_->SlotRow(i, 0, row),
-                 g + row * width, lr, eps, width);
-          ++rows_applied;
-        }
-      } else {
-        const int64_t vocab = impl->shape[0];
-        for (int64_t r = 0; r < vocab; ++r) {
-          if (store_->ShardOfRow(r) != s) continue;
-          row_fn(data + r * width, store_->SlotRow(i, 0, r), g + r * width,
-                 lr, eps, width);
-          ++rows_applied;
-        }
-      }
-    }
-    store_->AddRowsApplied(rows_applied);
-  };
-  Ctx().ParallelFor(num_shards, 1, [&](int64_t sb, int64_t se) {
-    for (int64_t s = sb; s < se; ++s) apply_shard(static_cast<int>(s));
-  });
 }
 
 }  // namespace optim

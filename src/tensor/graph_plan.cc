@@ -389,103 +389,5 @@ const std::vector<Tensor>& GraphPlan::Replay(const std::vector<Tensor>& inputs) 
   return ReplayOn(own_buffers_.get(), inputs);
 }
 
-// ---------------------------------------------------------------------------
-// TrainStepPlan
-// ---------------------------------------------------------------------------
-
-std::unique_ptr<TrainStepPlan> TrainStepPlan::Capture(
-    const std::function<Tensor()>& program) {
-  ODNET_CHECK(GradModeEnabled())
-      << "TrainStepPlan::Capture requires grad mode";
-  Recorder rec;
-  Tensor loss;
-  {
-    ScopedRecorder guard(&rec);
-    loss = program();
-  }
-  CheckCaptureIntegrity(rec);
-  ODNET_CHECK(loss.defined());
-  ODNET_CHECK_EQ(loss.numel(), 1) << "train-step program must return a scalar";
-  ODNET_CHECK(loss.requires_grad())
-      << "train-step loss does not require grad";
-
-  std::unique_ptr<TrainStepPlan> plan(new TrainStepPlan());
-  plan->loss_ = loss;
-  plan->capability_ = ActiveCpuCapability();
-  plan->retained_.reserve(rec.values.size());
-  for (const RecValue& v : rec.values) plan->retained_.push_back(v.impl);
-
-  for (const RecNode& rnode : rec.nodes) {
-    if (rnode.host) {
-      Node node;
-      node.host = rnode.host;
-      plan->nodes_.push_back(std::move(node));
-      continue;
-    }
-    internal::TensorImpl* out_impl =
-        rec.values[static_cast<size_t>(rnode.out)].impl.get();
-    if (out_impl->requires_grad) plan->grad_nodes_.push_back(out_impl);
-    if (rnode.alias_of >= 0) continue;  // view: parent's kernel fills it
-    Node node;
-    node.kernel = rnode.kernel;
-    node.name = rnode.name;
-    node.in_ptrs.reserve(rnode.ins.size());
-    for (int in : rnode.ins) {
-      node.in_ptrs.push_back(
-          rec.values[static_cast<size_t>(in)].impl->storage->data());
-    }
-    node.out_ptr = out_impl->storage->data();
-    node.out_numel = static_cast<int64_t>(out_impl->storage->size());
-    node.zero_out = rnode.zero_out;
-    plan->nodes_.push_back(std::move(node));
-  }
-  plan->topo_ = internal::BuildBackwardTopo(loss.impl());
-  telemetry::TelemetryRegistry::Get().GetCounter("plan.train_captures")
-      ->Add(1);
-  return plan;
-}
-
-namespace {
-void CheckTrainPlanCapability(CpuCapability captured, const char* where) {
-  ODNET_CHECK(ActiveCpuCapability() == captured)
-      << "TrainStepPlan captured under CPU capability '"
-      << CpuCapabilityName(captured) << "' but " << where
-      << " runs under '" << CpuCapabilityName(ActiveCpuCapability())
-      << "': switching the SIMD tier mid-run would change the numerics of a "
-         "captured program; re-capture the plan under the new tier";
-}
-}  // namespace
-
-void TrainStepPlan::ReplayForward() {
-  CheckTrainPlanCapability(capability_, "ReplayForward");
-  telemetry::SpanScope replay_span("TrainStepPlan.ReplayForward", "plan");
-  for (const Node& node : nodes_) {
-    telemetry::SpanScope node_span(node.name != nullptr ? node.name : "Node",
-                                   "plan.node");
-    if (node.host) {
-      node.host();
-      continue;
-    }
-    if (node.zero_out) {
-      std::fill(node.out_ptr, node.out_ptr + node.out_numel, 0.0f);
-    }
-    ReplayPtrs ptrs{node.in_ptrs.data(), node.out_ptr};
-    node.kernel(ptrs);
-  }
-}
-
-void TrainStepPlan::ReplayBackward() {
-  CheckTrainPlanCapability(capability_, "ReplayBackward");
-  telemetry::SpanScope replay_span("TrainStepPlan.ReplayBackward", "plan");
-  // Reset intermediate grads to the state a fresh eager tape would have:
-  // EnsureGrad()'s all-zero buffer with reset row metadata. Leaf parameters
-  // are the optimizer's job (ZeroGrad before this call, as in eager).
-  for (internal::TensorImpl* impl : grad_nodes_) {
-    impl->grad.assign(impl->storage->size(), 0.0f);
-    impl->ResetGradRows();
-  }
-  internal::SeedAndRunBackward(loss_.impl(), topo_);
-}
-
 }  // namespace tensor
 }  // namespace odnet

@@ -253,65 +253,6 @@ class GraphPlan {
   std::unique_ptr<Buffers> own_buffers_;
 };
 
-/// \brief A captured training step: the retained autograd tape of one
-/// eager forward plus the replayable kernel list that recomputes it.
-///
-/// Capture runs `program` once eagerly in grad mode and keeps the returned
-/// loss tensor — and with it the whole tape. Per-batch replay then:
-///  - ReplayForward(): re-runs host stages and forward kernels writing into
-///    the *retained* op storages (pointers are stable, so the cached tape's
-///    backward closures see the fresh values);
-///  - ReplayBackward(): zeroes the intermediate grads (bitwise-equivalent
-///    to the fresh EnsureGrad of an eager Backward), seeds the root, and
-///    runs the cached reverse-topological closure list — exactly
-///    Tensor::Backward() minus the per-step topo sort.
-/// The consumer refreshes the bound host inputs (batch copy) before
-/// ReplayForward, and runs optimizer ZeroGrad/Clip/Step around
-/// ReplayBackward exactly as in the eager step.
-class TrainStepPlan {
- public:
-  /// Captures one eager grad-mode run of `program` (which must return a
-  /// scalar loss requiring grad). The capture itself computed a valid
-  /// forward+tape, so the caller proceeds straight to ReplayBackward() for
-  /// the capture step.
-  static std::unique_ptr<TrainStepPlan> Capture(
-      const std::function<Tensor()>& program);
-
-  /// The retained loss tensor; its value is refreshed by ReplayForward().
-  const Tensor& loss() const { return loss_; }
-
-  void ReplayForward();
-  void ReplayBackward();
-
-  int64_t num_nodes() const { return static_cast<int64_t>(nodes_.size()); }
-
-  /// SIMD tier stamped at capture; both replay directions CHECK against it
-  /// (same contract as GraphPlan::capability()).
-  CpuCapability capability() const { return capability_; }
-
- private:
-  TrainStepPlan() = default;
-
-  struct Node {
-    ReplayKernel kernel;
-    std::function<void()> host;
-    std::vector<const float*> in_ptrs;
-    float* out_ptr = nullptr;
-    int64_t out_numel = 0;
-    bool zero_out = false;
-    const char* name = nullptr;  // as GraphPlan::Node::name
-  };
-
-  std::vector<Node> nodes_;
-  Tensor loss_;
-  CpuCapability capability_ = CpuCapability::kScalar;
-  // Keeps every recorded value's impl alive so the raw pointers above and
-  // the cached topo stay valid.
-  std::vector<std::shared_ptr<internal::TensorImpl>> retained_;
-  std::vector<internal::TensorImpl*> grad_nodes_;  // tape outs needing grad
-  std::vector<internal::TensorImpl*> topo_;        // cached backward order
-};
-
 }  // namespace tensor
 }  // namespace odnet
 

@@ -303,10 +303,13 @@ Tensor Tensor::MakeViewForOp(
   return out;
 }
 
-namespace internal {
+namespace {
 
+using internal::TensorImpl;
+
+// Deterministic reverse-topological order (iterative DFS) of the tape
+// reachable from `root` through requires_grad parents.
 std::vector<TensorImpl*> BuildBackwardTopo(TensorImpl* root) {
-  // Deterministic reverse topological order via iterative DFS.
   std::vector<TensorImpl*> topo;
   std::unordered_set<TensorImpl*> visited;
   std::vector<std::pair<TensorImpl*, size_t>> stack;
@@ -329,6 +332,7 @@ std::vector<TensorImpl*> BuildBackwardTopo(TensorImpl* root) {
   return topo;
 }
 
+// Seeds d(root)/d(root) = 1 and runs the backward closures over `topo`.
 void SeedAndRunBackward(TensorImpl* root,
                         const std::vector<TensorImpl*>& topo) {
   // Seed: d(out)/d(out) = 1.
@@ -353,15 +357,14 @@ void SeedAndRunBackward(TensorImpl* root,
   }
 }
 
-}  // namespace internal
+}  // namespace
 
 void Tensor::Backward() {
   ODNET_CHECK(defined());
   ODNET_CHECK(impl_->requires_grad)
       << "Backward() on a tensor that does not require grad";
-  std::vector<internal::TensorImpl*> topo =
-      internal::BuildBackwardTopo(impl_.get());
-  internal::SeedAndRunBackward(impl_.get(), topo);
+  std::vector<internal::TensorImpl*> topo = BuildBackwardTopo(impl_.get());
+  SeedAndRunBackward(impl_.get(), topo);
 }
 
 }  // namespace tensor

@@ -1,4 +1,8 @@
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/core/hsg_builder.h"
@@ -259,6 +263,50 @@ TEST(OdnetModelTest, FrozenThetaDoesNotMove) {
   OdnetTrainer trainer(&model, &f.dataset, f.temporal.get());
   trainer.Train();
   EXPECT_NEAR(model.theta(), 0.5, 1e-6);
+}
+
+// Trains a fresh model with the given sparse-update mode and returns its
+// stats and every named parameter's final values.
+std::pair<TrainStats, std::vector<std::vector<float>>> TrainWithSparseMode(
+    const std::string& mode) {
+  Fixture& f = SharedFixture();
+  OdnetConfig config;
+  config.epochs = 1;
+  config.sparse_embedding_updates = mode;
+  OdnetModel model(f.hsg.get(), f.dataset.num_users, f.dataset.num_cities,
+                   config);
+  OdnetTrainer trainer(&model, &f.dataset, f.temporal.get());
+  TrainStats stats = trainer.Train();
+  std::vector<std::vector<float>> params;
+  for (const auto& [name, param] : model.NamedParameters()) {
+    params.push_back(param.vec());
+  }
+  return {stats, std::move(params)};
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(OdnetTrainerTest, LazySparseUpdatesAreDeterministicAndDifferFromDense) {
+  const auto lazy = TrainWithSparseMode("lazy");
+  const auto twin = TrainWithSparseMode("lazy");
+  EXPECT_EQ(lazy.first.first_epoch_loss, twin.first.first_epoch_loss);
+  EXPECT_EQ(lazy.first.final_epoch_loss, twin.first.final_epoch_loss);
+  ASSERT_EQ(lazy.second.size(), twin.second.size());
+  for (size_t p = 0; p < lazy.second.size(); ++p) {
+    EXPECT_TRUE(SameBits(lazy.second[p], twin.second[p])) << "param " << p;
+  }
+  // Lazy skips the decay of untouched active rows, an intentional numerics
+  // change: some parameter must end up with different bits.
+  const auto dense = TrainWithSparseMode("dense-equivalent");
+  ASSERT_EQ(lazy.second.size(), dense.second.size());
+  bool any_differs = false;
+  for (size_t p = 0; p < lazy.second.size(); ++p) {
+    any_differs = any_differs || !SameBits(lazy.second[p], dense.second[p]);
+  }
+  EXPECT_TRUE(any_differs);
 }
 
 TEST(OdnetModelTest, ServeScoresFollowEq11) {

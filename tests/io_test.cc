@@ -1,6 +1,8 @@
 // Tests for dataset CSV I/O and model checkpointing.
 
 #include <cstdio>
+#include <string>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "gtest/gtest.h"
@@ -22,9 +24,20 @@ data::OdDataset MakeDataset() {
   return data::FliggySimulator(config).Generate();
 }
 
+// A directory private to the running test. ctest runs each test of this
+// file as its own process, in parallel: with one shared TempDir(), the CSV
+// a Rejects* test corrupts could reach RoundTripPreservesEverything.
+std::string PrivateTempDir() {
+  const std::string dir =
+      ::testing::TempDir() + "/io_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  ::mkdir(dir.c_str(), 0755);
+  return dir;
+}
+
 TEST(DatasetIoTest, RoundTripPreservesEverything) {
   data::OdDataset original = MakeDataset();
-  auto paths = data::DatasetIoPaths::InDirectory(::testing::TempDir());
+  auto paths = data::DatasetIoPaths::InDirectory(PrivateTempDir());
   ASSERT_TRUE(data::WriteDataset(original, paths).ok());
 
   auto restored = data::ReadDataset(paths);
@@ -70,8 +83,7 @@ TEST(DatasetIoTest, RejectsMissingFile) {
 }
 
 TEST(DatasetIoTest, RejectsBadHeader) {
-  std::string dir = ::testing::TempDir();
-  auto paths = data::DatasetIoPaths::InDirectory(dir);
+  auto paths = data::DatasetIoPaths::InDirectory(PrivateTempDir());
   ASSERT_TRUE(data::WriteDataset(MakeDataset(), paths).ok());
   // Corrupt the users header.
   FILE* f = std::fopen(paths.users_csv.c_str(), "w");
@@ -83,8 +95,7 @@ TEST(DatasetIoTest, RejectsBadHeader) {
 }
 
 TEST(DatasetIoTest, RejectsOutOfRangeUser) {
-  std::string dir = ::testing::TempDir();
-  auto paths = data::DatasetIoPaths::InDirectory(dir);
+  auto paths = data::DatasetIoPaths::InDirectory(PrivateTempDir());
   ASSERT_TRUE(data::WriteDataset(MakeDataset(), paths).ok());
   FILE* f = std::fopen(paths.bookings_csv.c_str(), "w");
   std::fputs("user_id,day,origin,destination\n99999,1,0,1\n", f);

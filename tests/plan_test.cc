@@ -5,11 +5,8 @@
 //  - GraphPlan: capture-once/replay-many inference with a liveness-planned
 //    buffer assignment, bitwise identical to eager under every backend and
 //    thread count, concurrent replay over per-executor buffer sets;
-//  - TrainStepPlan: the retained-tape training step, bitwise identical to
-//    the eager loop it replaces;
-//  - the model/trainer consumers: PredictPlanned's per-shape plan cache
-//    (capture on shape change, replay on hit, invalidation) and the
-//    capture_train_plan trainer path.
+//  - the model consumer: PredictPlanned's per-shape plan cache (capture on
+//    shape change, replay on hit, invalidation).
 
 #include <atomic>
 #include <cstdint>
@@ -22,10 +19,8 @@
 #include "gtest/gtest.h"
 #include "src/core/hsg_builder.h"
 #include "src/core/odnet_model.h"
-#include "src/core/trainer.h"
 #include "src/data/fliggy_simulator.h"
 #include "src/data/temporal_features.h"
-#include "src/optim/optimizer.h"
 #include "src/tensor/buffer_arena.h"
 #include "src/tensor/compute_context.h"
 #include "src/tensor/graph_plan.h"
@@ -47,7 +42,6 @@ using tensor::ComputeContext;
 using tensor::GraphPlan;
 using tensor::Shape;
 using tensor::Tensor;
-using tensor::TrainStepPlan;
 
 class ComputeConfigGuard {
  public:
@@ -577,89 +571,7 @@ TEST(PlanFusionTest, DifferentialFuzzFusedVsUnfusedBitwise) {
   }
 }
 
-// ---------------------------------------------------------- TrainStepPlan --
-
-// Twin training loops over an embedding + projection: the eager tape path
-// vs the captured TrainStepPlan replay. Pure function of its inputs, so the
-// two must agree bit for bit on every loss and on the trained weights.
-std::vector<float> RunTrainLoop(bool use_plan) {
-  util::Rng rng(6402);
-  Tensor table = testing::RandomTensor({10, 4}, &rng, true);
-  Tensor w = testing::RandomTensor({4, 1}, &rng, true);
-  optim::Adam opt({table, w}, 0.05);
-  // Host-side state refreshed per step; the *objects* stay put so the
-  // captured closures keep pointing at live data.
-  std::vector<int64_t> indices(6, 0);
-  auto program = [&table, &w, &indices]() {
-    Tensor emb = tensor::EmbeddingLookup(table, indices, {6});
-    Tensor h = tensor::MatMul(emb, w);
-    return tensor::Sum(tensor::Mul(h, h));
-  };
-  std::unique_ptr<TrainStepPlan> plan;
-  std::vector<float> out;
-  for (int step = 0; step < 6; ++step) {
-    for (int64_t& v : indices) v = rng.UniformInt(0, 9);
-    float loss_value = 0.0f;
-    if (use_plan) {
-      if (plan == nullptr) {
-        plan = TrainStepPlan::Capture(program);  // capture IS the eager run
-      } else {
-        plan->ReplayForward();
-      }
-      opt.ZeroGrad();
-      plan->ReplayBackward();
-      opt.ClipGradNorm(0.5);
-      opt.Step();
-      loss_value = plan->loss().item();
-    } else {
-      Tensor loss = program();
-      opt.ZeroGrad();
-      loss.Backward();
-      opt.ClipGradNorm(0.5);
-      opt.Step();
-      loss_value = loss.item();
-    }
-    out.push_back(loss_value);
-  }
-  out.insert(out.end(), table.vec().begin(), table.vec().end());
-  out.insert(out.end(), w.vec().begin(), w.vec().end());
-  return out;
-}
-
-TEST(TrainStepPlanTest, ReplayMatchesEagerTrainingBitwise) {
-  ComputeConfigGuard guard;
-  ComputeContext& ctx = ComputeContext::Get();
-  ctx.SetNumThreads(1);
-  ctx.SetParallelThreshold(16384);
-  const std::vector<float> oracle = RunTrainLoop(/*use_plan=*/false);
-  for (int threads : {1, 2, 8}) {
-    for (int64_t threshold : {int64_t{1}, int64_t{16384}}) {
-      ctx.SetNumThreads(threads);
-      ctx.SetParallelThreshold(threshold);
-      const std::string tag = " [threads=" + std::to_string(threads) +
-                              " threshold=" + std::to_string(threshold) + "]";
-      testing::ExpectUlpClose(RunTrainLoop(true), oracle, /*max_ulps=*/0,
-                              "TrainStepPlan/plan" + tag);
-      testing::ExpectUlpClose(RunTrainLoop(false), oracle, /*max_ulps=*/0,
-                              "TrainStepPlan/eager" + tag);
-    }
-  }
-  {
-    BackendGuard reference(Backend::kReference);
-    ctx.SetNumThreads(1);
-    ctx.SetParallelThreshold(16384);
-    testing::ExpectUlpClose(RunTrainLoop(true), oracle, /*max_ulps=*/0,
-                            "TrainStepPlan/plan reference backend");
-  }
-}
-
-TEST(TrainStepPlanTest, CaptureRequiresScalarGradLoss) {
-  Tensor a = Tensor::Full({3}, 1.0f, /*requires_grad=*/true);
-  EXPECT_DEATH(TrainStepPlan::Capture([&a]() { return tensor::Neg(a); }),
-               "scalar");
-}
-
-// ------------------------------------------------------ model and trainer --
+// ----------------------------------------------------------------- model --
 
 struct Fixture {
   Fixture() : simulator(MakeConfig()), dataset(simulator.Generate()) {
@@ -856,59 +768,6 @@ TEST(PredictPlannedTest, HsgcTwinModelsAgreeBitwise) {
   }
   EXPECT_EQ(planned_model.serving_plan_stats().captures, 1);
   EXPECT_EQ(planned_model.serving_plan_stats().replays, 2);
-}
-
-// Trains twin models (identical seed, identical batches) with the captured
-// train-step plan on vs off and compares the full trained parameter state
-// bitwise. Covers the ragged tail batch (second shape signature) and both
-// sparse-update modes (the mode is part of the plan signature).
-void ExpectPlannedTrainingMatchesEager(const std::string& sparse_mode,
-                                       bool use_hsgc) {
-  Fixture& f = SharedFixture();
-  core::OdnetConfig config = SmallModelConfig();
-  config.use_hsgc = use_hsgc;
-  config.sparse_embedding_updates = sparse_mode;
-  const graph::HeterogeneousSpatialGraph* hsg =
-      use_hsgc ? f.hsg.get() : nullptr;
-
-  config.capture_train_plan = false;
-  core::OdnetModel eager_model(hsg, f.dataset.num_users, f.dataset.num_cities,
-                               config);
-  core::OdnetTrainer eager_trainer(&eager_model, &f.dataset, f.temporal.get());
-  core::TrainStats eager_stats = eager_trainer.Train();
-
-  config.capture_train_plan = true;
-  core::OdnetModel plan_model(hsg, f.dataset.num_users, f.dataset.num_cities,
-                              config);
-  core::OdnetTrainer plan_trainer(&plan_model, &f.dataset, f.temporal.get());
-  core::TrainStats plan_stats = plan_trainer.Train();
-
-  EXPECT_EQ(plan_stats.steps, eager_stats.steps);
-  EXPECT_EQ(plan_stats.first_epoch_loss, eager_stats.first_epoch_loss);
-  EXPECT_EQ(plan_stats.final_epoch_loss, eager_stats.final_epoch_loss);
-
-  auto eager_params = eager_model.NamedParameters();
-  auto plan_params = plan_model.NamedParameters();
-  ASSERT_EQ(eager_params.size(), plan_params.size());
-  for (size_t p = 0; p < eager_params.size(); ++p) {
-    EXPECT_EQ(eager_params[p].first, plan_params[p].first);
-    testing::ExpectUlpClose(plan_params[p].second.vec(),
-                            eager_params[p].second.vec(), /*max_ulps=*/0,
-                            "param " + eager_params[p].first + " [" +
-                                sparse_mode + "]");
-  }
-}
-
-TEST(TrainerPlanTest, CapturedStepMatchesEagerDenseEquivalent) {
-  ExpectPlannedTrainingMatchesEager("dense-equivalent", /*use_hsgc=*/false);
-}
-
-TEST(TrainerPlanTest, CapturedStepMatchesEagerLazySparse) {
-  ExpectPlannedTrainingMatchesEager("lazy", /*use_hsgc=*/false);
-}
-
-TEST(TrainerPlanTest, CapturedStepMatchesEagerWithHsgc) {
-  ExpectPlannedTrainingMatchesEager("dense-equivalent", /*use_hsgc=*/true);
 }
 
 }  // namespace

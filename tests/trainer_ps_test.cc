@@ -4,25 +4,23 @@
 // The contract under test, in increasing integration order:
 //   - GradDelta extraction/accumulation partitions a gradient exactly once
 //     under any row-ownership split;
-//   - ShardedAdam / ShardedAdaGrad are bitwise identical to the plain
-//     optimizers for every shard count (sync mode);
-//   - the lock-free CAS SGD row apply loses no update under contention;
-//   - the end-to-end sync training digest is a function of the config and
-//     seed only — the same bits for every train_workers and
-//     embedding_shards combination;
-//   - async/hogwild mode trains to a finite loss (numerics intentionally
-//     unasserted: non-deterministic by design).
+//   - ShardedAdam is bitwise identical to plain Adam for every shard count;
+//   - the end-to-end training digest is a function of the config and seed
+//     only — the same bits for every train_workers and embedding_shards
+//     combination;
+//   - ValidateTrainingConfig rejects every bad training knob with a typed
+//     error through OdnetRecommender::Fit.
 
 #include <cmath>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/baselines/odnet_recommender.h"
 #include "src/core/config.h"
+#include "src/core/trainer.h"
 #include "src/data/fliggy_simulator.h"
 #include "src/data/types.h"
 #include "src/nn/sharded_embedding.h"
@@ -32,14 +30,7 @@
 #include "src/tensor/grad_delta.h"
 #include "src/tensor/tensor.h"
 #include "src/util/rng.h"
-
-#if defined(__SANITIZE_THREAD__)
-#define ODNET_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define ODNET_TSAN 1
-#endif
-#endif
+#include "src/util/status.h"
 
 namespace odnet {
 namespace {
@@ -160,38 +151,8 @@ TEST(ShardedEmbeddingStoreTest, OwnershipPartitionsRowsExactlyOnce) {
   }
 }
 
-TEST(ShardedEmbeddingStoreTest, CasRowApplyConcurrentLosesNoUpdate) {
-  // Integer-valued floats: every subtraction is exact, so exactly-once
-  // delivery is observable as an exact final value regardless of the
-  // interleaving.
-  constexpr int64_t kRows = 8;
-  constexpr int64_t kWidth = 4;
-  constexpr int kThreads = 4;
-  constexpr int kIters = 100;
-  Tensor table = Tensor::FromVector(
-      {kRows, kWidth}, std::vector<float>(kRows * kWidth, 0.0f));
-  nn::ShardedEmbeddingStore::Options opts;
-  opts.num_shards = 2;
-  nn::ShardedEmbeddingStore store({table}, opts);
-  const std::vector<float> g(kWidth, 1.0f);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&]() {
-      for (int i = 0; i < kIters; ++i) {
-        for (int64_t row = 0; row < kRows; ++row) {
-          store.ApplySgdRowCas(0, row, g.data(), 1.0f);
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (float v : table.vec()) {
-    EXPECT_EQ(v, -static_cast<float>(kThreads * kIters));
-  }
-}
-
 // ---------------------------------------------------------------------------
-// ShardedAdam / ShardedAdaGrad vs the plain optimizers, bitwise.
+// ShardedAdam vs plain Adam, bitwise.
 
 std::vector<Tensor> MakeOptParams() {
   auto fill = [](int64_t n, float phase) {
@@ -260,32 +221,6 @@ TEST(ShardedAdamTest, BitwiseMatchesPlainAdamForEveryShardCount) {
         ExpectBitwiseEqual(ref_params[i].vec(), sharded_params[i].vec(),
                            "shards=" + std::to_string(num_shards) + " step=" +
                                std::to_string(step) + " param=" +
-                               std::to_string(i));
-      }
-    }
-  }
-}
-
-TEST(ShardedAdaGradTest, BitwiseMatchesPlainAdaGradForEveryShardCount) {
-  for (int num_shards : {1, 3}) {
-    std::vector<Tensor> ref_params = MakeOptParams();
-    std::vector<Tensor> sharded_params = MakeOptParams();
-    optim::AdaGrad ref(ref_params, 0.05);
-    nn::ShardedEmbeddingStore::Options opts;
-    opts.num_shards = num_shards;
-    nn::ShardedEmbeddingStore store(sharded_params, opts);
-    optim::ShardedAdaGrad sharded(&store, 0.05);
-    for (int step = 0; step < 3; ++step) {
-      for (Tensor& p : ref_params) p.ZeroGrad();
-      for (Tensor& p : sharded_params) p.ZeroGrad();
-      ApplyStepGrads(ref_params, step);
-      ApplyStepGrads(sharded_params, step);
-      ref.Step();
-      sharded.Step();
-      for (size_t i = 0; i < ref_params.size(); ++i) {
-        ExpectBitwiseEqual(ref_params[i].vec(), sharded_params[i].vec(),
-                           "adagrad shards=" + std::to_string(num_shards) +
-                               " step=" + std::to_string(step) + " param=" +
                                std::to_string(i));
       }
     }
@@ -368,7 +303,6 @@ TEST(DataParallelTrainerTest, SingleWorkerDispatchIgnoresShardKnobs) {
   core::OdnetConfig mc = TinyTrainConfig();
   mc.train_workers = 1;
   mc.embedding_shards = 8;
-  mc.ps_mode = "async";
   mc.train_grad_slices = 16;
   ExpectSameTrainedParams(reference, TrainedParams(mc),
                           "single-worker dispatch");
@@ -388,25 +322,48 @@ TEST(DataParallelTrainerTest, SyncTrainingRecordsShardTelemetry) {
   EXPECT_GT(rows_applied->Value(), before);
 }
 
-TEST(DataParallelTrainerTest, AsyncModeTrainsToFiniteLoss) {
-#ifdef ODNET_TSAN
-  GTEST_SKIP() << "hogwild-mode weight reads race applier writes by design";
-#else
-  core::OdnetConfig mc = TinyTrainConfig();
-  mc.train_workers = 2;
-  mc.embedding_shards = 2;
-  mc.ps_mode = "async";
-  double loss = 0.0;
-  const auto params = TrainedParams(mc, &loss);
-  ASSERT_FALSE(params.empty());
-  EXPECT_TRUE(std::isfinite(loss));
-  EXPECT_GT(loss, 0.0);
-  for (const auto& [name, values] : params) {
-    for (float v : values) {
-      ASSERT_TRUE(std::isfinite(v)) << name;
-    }
+// ---------------------------------------------------------------------------
+// Training-config validation.
+
+TEST(TrainingConfigValidationTest, FitReturnsInvalidArgumentForEachBadKnob) {
+  struct Case {
+    const char* name;
+    void (*apply)(core::OdnetConfig*);
+  };
+  const Case cases[] = {
+      {"train_workers=0", [](core::OdnetConfig* c) { c->train_workers = 0; }},
+      {"embedding_shards=0",
+       [](core::OdnetConfig* c) { c->embedding_shards = 0; }},
+      {"train_grad_slices=0",
+       [](core::OdnetConfig* c) { c->train_grad_slices = 0; }},
+      {"ps_mode=async", [](core::OdnetConfig* c) { c->ps_mode = "async"; }},
+      {"sparse_embedding_updates=eager",
+       [](core::OdnetConfig* c) { c->sparse_embedding_updates = "eager"; }},
+      {"lazy with 2 workers",
+       [](core::OdnetConfig* c) {
+         c->sparse_embedding_updates = "lazy";
+         c->train_workers = 2;
+       }},
+  };
+  data::FliggyConfig dc;
+  dc.num_users = 20;
+  dc.num_cities = 8;
+  dc.seed = 7;
+  data::FliggySimulator simulator(dc);
+  data::OdDataset dataset = simulator.Generate();
+  for (const Case& c : cases) {
+    core::OdnetConfig mc = TinyTrainConfig();
+    c.apply(&mc);
+    EXPECT_EQ(core::ValidateTrainingConfig(mc).code(),
+              util::StatusCode::kInvalidArgument)
+        << c.name;
+    baselines::OdnetRecommender odnet("ODNET-bad-config", &simulator.atlas(),
+                                      mc);
+    const util::Status status = odnet.Fit(dataset);
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+        << c.name << ": " << status.ToString();
   }
-#endif
+  EXPECT_TRUE(core::ValidateTrainingConfig(TinyTrainConfig()).ok());
 }
 
 }  // namespace
