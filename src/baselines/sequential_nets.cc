@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/data/encoding.h"
 #include "src/tensor/ops.h"
 
 namespace odnet {
@@ -135,9 +136,7 @@ Tensor LstpmNet::Forward(const data::OdBatch& batch, bool origin_role) {
   // Non-local module: current state attends over the (real) trajectory;
   // front-padded cold-start states are masked out.
   std::vector<float> additive(view.long_pad.size());
-  for (size_t i = 0; i < additive.size(); ++i) {
-    additive[i] = view.long_pad[i] > 0.5f ? 0.0f : -1e9f;
-  }
+  data::AdditiveMask(view.long_pad, additive.data());
   Tensor long_pref = non_local_.Forward(
       h_last, hiddens,
       Tensor::FromVector({b, view.t_long}, std::move(additive)));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "src/data/encoding.h"
 #include "src/nn/init.h"
 #include "src/tensor/ops.h"
 #include "src/util/math_util.h"
@@ -127,9 +128,7 @@ Tensor GatLayer::Forward(const Tensor& emb, const CityGraphView& view) const {
           tensor::Reshape(pair, {n * cap, 2 * d_}), attn_)),
       {n, cap});
   std::vector<float> additive(view.pad.size());
-  for (size_t i = 0; i < view.pad.size(); ++i) {
-    additive[i] = view.pad[i] > 0.5f ? 0.0f : -1e9f;
-  }
+  data::AdditiveMask(view.pad, additive.data());
   scores = tensor::Add(scores, Tensor::FromVector({n, cap}, additive));
   Tensor alpha = tensor::Mul(tensor::Softmax(scores),
                              Tensor::FromVector({n, cap}, view.pad));

@@ -1,5 +1,6 @@
 #include "src/core/hsgc.h"
 
+#include "src/data/encoding.h"
 #include "src/tensor/graph_plan.h"
 #include "src/tensor/ops.h"
 
@@ -56,11 +57,8 @@ Tensor Hsgc::AggregateStep(const Tensor& self_emb, const Tensor& neighbor_emb,
   }
   scores = tensor::Relu(scores);
   // Mask out padded neighbor slots before the softmax.
-  Tensor additive = tensor::HostTensor({n, cap}, [pad](float* out) {
-    for (size_t i = 0; i < pad->size(); ++i) {
-      out[i] = (*pad)[i] > 0.5f ? 0.0f : -1e9f;
-    }
-  });
+  Tensor additive = tensor::HostTensor(
+      {n, cap}, [pad](float* out) { data::AdditiveMask(*pad, out); });
   scores = tensor::Add(scores, additive);
   Tensor alpha = tensor::Softmax(scores);  // [n, cap]
   // Zero contributions from rows whose slots are all padded (isolated

@@ -4,6 +4,7 @@
 
 #include "src/data/temporal_features.h"
 #include "src/telemetry/telemetry.h"
+#include "src/tensor/graph_plan.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/plan_optimizer.h"
 
@@ -48,6 +49,33 @@ Tensor RoleEncoder::EmbedCitySeq(const Hsgc::State* state,
   return city_embed_->Forward(ids, shape);
 }
 
+namespace {
+
+// Share of PEC work saved by sequence sharing: rows encoded vs distinct
+// sequences actually run through PEC.
+struct PecInstruments {
+  telemetry::Counter* rows;
+  telemetry::Counter* distinct_rows;
+
+  static PecInstruments& Get() {
+    static PecInstruments* in = [] {
+      auto& reg = telemetry::TelemetryRegistry::Get();
+      auto* i = new PecInstruments();
+      i->rows = reg.GetCounter("core.pec.rows");
+      i->distinct_rows = reg.GetCounter("core.pec.distinct_rows");
+      return i;
+    }();
+    return *in;
+  }
+};
+
+}  // namespace
+
+int64_t RoleEncoder::DistinctSequenceRows(const data::TaskBatch& batch) {
+  data::BuildDistinctSequences(batch, &seq_ws_);
+  return seq_ws_.count;
+}
+
 Tensor RoleEncoder::Forward(const data::TaskBatch& batch) {
   const int64_t b = batch.batch;
   ODNET_CHECK_GT(b, 0);
@@ -60,11 +88,27 @@ Tensor RoleEncoder::Forward(const data::TaskBatch& batch) {
                                    : user_embed_->Forward(batch.user_ids);
   Tensor e_lbs = EmbedCitySeq(sp, batch.current_city, {b});
   Tensor e_cand = EmbedCitySeq(sp, batch.candidate, {b});
-  Tensor e_long = EmbedCitySeq(sp, batch.long_seq, {b, batch.t_long});
-  Tensor e_short = EmbedCitySeq(sp, batch.short_seq, {b, batch.t_short});
 
-  // PEC: the attention-focused user preference vector v_L.
-  Tensor v_l = pec_.Forward(e_long, batch.long_pad, e_short, batch.short_pad);
+  // PEC: the attention-focused user preference vector v_L. It reads only
+  // the behaviour sequences, never the candidate, so it runs on the U
+  // distinct sequences of the batch (a serving request: one user x all its
+  // candidates, U = 1) and v_L is gathered back to the B rows. The dedup is
+  // a host stage, so a plan replay rebuilds it from the bound batch.
+  data::DistinctSequences* ws = &seq_ws_;
+  const data::TaskBatch* bp = &batch;
+  tensor::PlanHostStage([ws, bp]() {
+    data::BuildDistinctSequences(*bp, ws);
+    if (telemetry::Enabled()) {
+      PecInstruments::Get().rows->Add(bp->batch);
+      PecInstruments::Get().distinct_rows->Add(ws->count);
+    }
+  });
+  const int64_t u = ws->count;
+  Tensor e_long = EmbedCitySeq(sp, ws->long_seq, {u, batch.t_long});
+  Tensor e_short = EmbedCitySeq(sp, ws->short_seq, {u, batch.t_short});
+  Tensor v_l_distinct =
+      pec_.Forward(e_long, ws->long_pad, e_short, ws->short_pad);
+  Tensor v_l = tensor::EmbeddingLookup(v_l_distinct, ws->row_to_distinct, {b});
 
   // q = [v_L ; e_user ; e_lbs ; e_cand ; x_st]  (Fig. 4, bottom).
   const std::vector<float>* xst = &batch.xst;
@@ -140,13 +184,17 @@ std::pair<std::vector<double>, std::vector<double>> OdnetModel::Predict(
 
 namespace {
 
-std::string ShapeSignature(const data::OdBatch& batch) {
+// `distinct_o`/`distinct_d` are each role's distinct sequence count: PEC
+// runs at that leading dimension, so it is part of the plan's shape.
+std::string ShapeSignature(const data::OdBatch& batch, int64_t distinct_o,
+                           int64_t distinct_d) {
   // The fusion state is part of the signature: a plan captured with fusion
   // on must never be served to a caller that expects an unfused plan (the
   // A/B bench legs and ODNET_PLAN_FUSION=0 runs rely on this).
   return std::to_string(batch.origin.batch) + "x" +
          std::to_string(batch.origin.t_long) + "x" +
-         std::to_string(batch.origin.t_short) +
+         std::to_string(batch.origin.t_short) + "x" +
+         std::to_string(distinct_o) + "x" + std::to_string(distinct_d) +
          (tensor::PlanFusionEnabled() ? "|f1" : "|f0");
 }
 
@@ -190,7 +238,10 @@ void PublishMemoryPlanStats(const tensor::MemoryPlanStats& m) {
 std::pair<std::vector<double>, std::vector<double>> OdnetModel::PredictPlanned(
     const data::OdBatch& batch) {
   if (!config_.capture_serving_plans) return Predict(batch);
-  const std::string sig = ShapeSignature(batch);
+  const std::string sig =
+      ShapeSignature(batch, origin_encoder_.DistinctSequenceRows(batch.origin),
+                     destination_encoder_.DistinctSequenceRows(
+                         batch.destination));
   auto it = serving_plans_.find(sig);
   if (it == serving_plans_.end()) {
     // First batch of this shape: capture (which IS one eager run).

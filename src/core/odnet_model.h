@@ -34,8 +34,16 @@ class RoleEncoder : public nn::Module {
               graph::Metapath rho, int64_t num_users, int64_t num_cities,
               const OdnetConfig& config, util::Rng* rng);
 
-  /// Encodes a role-view batch into q: [B, q_dim()].
+  /// Encodes a role-view batch into q: [B, q_dim()]. PEC runs once per
+  /// distinct behaviour sequence of the batch (data::DistinctSequences) and
+  /// v_L is gathered back to the B rows. When a plan capture is active, the
+  /// caller must keep `batch` alive and address-stable across replays (a
+  /// bound batch).
   tensor::Tensor Forward(const data::TaskBatch& batch);
+
+  /// Number of distinct behaviour sequences in `batch` (U): the leading
+  /// dimension PEC runs at, hence part of a serving plan's signature.
+  int64_t DistinctSequenceRows(const data::TaskBatch& batch);
 
   /// Reseeds the HSGC neighbor-sampling stream (no-op without an HSGC).
   void SeedSampleStream(uint64_t seed);
@@ -54,6 +62,10 @@ class RoleEncoder : public nn::Module {
   std::unique_ptr<nn::Embedding> user_embed_;  // fallback (no HSGC)
   std::unique_ptr<nn::Embedding> city_embed_;  // fallback (no HSGC)
   Pec pec_;
+  // Distinct sequences of the batch being encoded. Rebuilt by a host stage
+  // of every Forward (and plan replay); the PEC inputs and the v_L gather
+  // read its vectors, whose addresses never change.
+  data::DistinctSequences seq_ws_;
 };
 
 /// \brief The full ODNET model (paper Fig. 3): origin-aware and
@@ -85,11 +97,14 @@ class OdnetModel : public nn::Module {
       const data::OdBatch& batch);
 
   /// Like Predict, but served through a captured GraphPlan: the first batch
-  /// of each shape signature (batch size, t_long, t_short) is an eager
-  /// capture, subsequent same-shape batches replay the plan with zero graph
-  /// construction or storage allocation. Bitwise identical to Predict. A
-  /// shape change falls back to an eager capture of a new plan. With
-  /// config.capture_serving_plans off this IS Predict.
+  /// of each shape signature (batch size x t_long x t_short x distinct
+  /// sequence rows per role) is an eager capture, subsequent same-shape
+  /// batches replay the plan with zero graph construction or storage
+  /// allocation. Bitwise identical to Predict. A shape change falls back to
+  /// an eager capture of a new plan. A serving request (one user x its
+  /// candidates) always has one distinct row per role, so the signature
+  /// count does not grow with it. With config.capture_serving_plans off
+  /// this IS Predict.
   std::pair<std::vector<double>, std::vector<double>> PredictPlanned(
       const data::OdBatch& batch);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/data/encoding.h"
 #include "src/tensor/ops.h"
 
 namespace odnet {
@@ -34,11 +35,7 @@ Tensor Pec::Forward(const Tensor& long_emb, const std::vector<float>& long_pad,
   // caller's pad vectors (bound-batch fields when captured into a plan, so
   // replays see the refreshed batch).
   auto additive = [](const std::vector<float>* pad) {
-    return [pad](float* out) {
-      for (size_t i = 0; i < pad->size(); ++i) {
-        out[i] = (*pad)[i] > 0.5f ? 0.0f : -1e9f;
-      }
-    };
+    return [pad](float* out) { data::AdditiveMask(*pad, out); };
   };
   Tensor long_mask =
       tensor::HostTensor({batch, t_long}, additive(&long_pad));

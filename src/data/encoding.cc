@@ -2,18 +2,110 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/util/check.h"
 
 namespace odnet {
 namespace data {
 
-std::vector<float> TaskBatch::AdditiveMask(const std::vector<float>& pad) {
-  std::vector<float> mask(pad.size());
+void AdditiveMask(const std::vector<float>& pad, float* out) {
   for (size_t i = 0; i < pad.size(); ++i) {
-    mask[i] = pad[i] > 0.5f ? 0.0f : -1e9f;
+    out[i] = pad[i] > 0.5f ? 0.0f : -1e9f;
   }
-  return mask;
+}
+
+namespace {
+
+// Row r of a TaskBatch as the four sequence slices that key it.
+struct SequenceRow {
+  const int64_t* long_seq;
+  const float* long_pad;
+  const int64_t* short_seq;
+  const float* short_pad;
+};
+
+SequenceRow RowOf(const TaskBatch& batch, int64_t r) {
+  const size_t l = static_cast<size_t>(r * batch.t_long);
+  const size_t s = static_cast<size_t>(r * batch.t_short);
+  return {batch.long_seq.data() + l, batch.long_pad.data() + l,
+          batch.short_seq.data() + s, batch.short_pad.data() + s};
+}
+
+uint64_t HashBytes(uint64_t h, const void* data, size_t bytes) {
+  // FNV-1a over the raw bytes: pads hash (and compare) by bit pattern.
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+uint64_t HashRow(const SequenceRow& row, int64_t t_long, int64_t t_short) {
+  const size_t tl = static_cast<size_t>(t_long);
+  const size_t ts = static_cast<size_t>(t_short);
+  uint64_t h = 14695981039346656037ULL;
+  h = HashBytes(h, row.long_seq, tl * sizeof(int64_t));
+  h = HashBytes(h, row.long_pad, tl * sizeof(float));
+  h = HashBytes(h, row.short_seq, ts * sizeof(int64_t));
+  return HashBytes(h, row.short_pad, ts * sizeof(float));
+}
+
+bool RowsEqual(const SequenceRow& a, const SequenceRow& b, int64_t t_long,
+               int64_t t_short) {
+  const size_t tl = static_cast<size_t>(t_long);
+  const size_t ts = static_cast<size_t>(t_short);
+  return std::memcmp(a.long_seq, b.long_seq, tl * sizeof(int64_t)) == 0 &&
+         std::memcmp(a.long_pad, b.long_pad, tl * sizeof(float)) == 0 &&
+         std::memcmp(a.short_seq, b.short_seq, ts * sizeof(int64_t)) == 0 &&
+         std::memcmp(a.short_pad, b.short_pad, ts * sizeof(float)) == 0;
+}
+
+}  // namespace
+
+void BuildDistinctSequences(const TaskBatch& batch, DistinctSequences* out) {
+  ODNET_CHECK(out != nullptr);
+  const int64_t b = batch.batch;
+  const int64_t tl = batch.t_long;
+  const int64_t ts = batch.t_short;
+  ODNET_CHECK_EQ(static_cast<int64_t>(batch.long_seq.size()), b * tl);
+  ODNET_CHECK_EQ(static_cast<int64_t>(batch.long_pad.size()), b * tl);
+  ODNET_CHECK_EQ(static_cast<int64_t>(batch.short_seq.size()), b * ts);
+  ODNET_CHECK_EQ(static_cast<int64_t>(batch.short_pad.size()), b * ts);
+
+  // Open addressing at load <= 1/2; each slot holds the batch row that
+  // first carried its sequence (-1 = empty).
+  size_t capacity = 2;
+  while (capacity < static_cast<size_t>(2 * b)) capacity *= 2;
+  out->slots.assign(capacity, -1);
+  out->row_to_distinct.resize(static_cast<size_t>(b));
+  out->long_seq.clear();
+  out->long_pad.clear();
+  out->short_seq.clear();
+  out->short_pad.clear();
+  out->count = 0;
+  for (int64_t r = 0; r < b; ++r) {
+    const SequenceRow row = RowOf(batch, r);
+    size_t slot = HashRow(row, tl, ts) & (capacity - 1);
+    while (out->slots[slot] >= 0 &&
+           !RowsEqual(RowOf(batch, out->slots[slot]), row, tl, ts)) {
+      slot = (slot + 1) & (capacity - 1);
+    }
+    if (out->slots[slot] >= 0) {
+      out->row_to_distinct[static_cast<size_t>(r)] =
+          out->row_to_distinct[static_cast<size_t>(out->slots[slot])];
+      continue;
+    }
+    out->slots[slot] = r;
+    out->row_to_distinct[static_cast<size_t>(r)] = out->count++;
+    out->long_seq.insert(out->long_seq.end(), row.long_seq, row.long_seq + tl);
+    out->long_pad.insert(out->long_pad.end(), row.long_pad, row.long_pad + tl);
+    out->short_seq.insert(out->short_seq.end(), row.short_seq,
+                          row.short_seq + ts);
+    out->short_pad.insert(out->short_pad.end(), row.short_pad,
+                          row.short_pad + ts);
+  }
 }
 
 BatchEncoder::BatchEncoder(const OdDataset* dataset,

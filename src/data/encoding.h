@@ -40,11 +40,30 @@ struct TaskBatch {
   std::vector<float> long_dist_gap;    // [B * t_long]
 
   std::vector<float> xst;              // [B * TemporalFeatureIndex::kDim]
-
-  /// Additive attention mask derived from a pad vector: 0 where real,
-  /// -1e9 where padded.
-  static std::vector<float> AdditiveMask(const std::vector<float>& pad);
 };
+
+/// Additive attention mask of a pad vector, written to `out` (pad.size()
+/// floats): 0 where real (pad > 0.5), -1e9 where padded.
+void AdditiveMask(const std::vector<float>& pad, float* out);
+
+/// The distinct behaviour sequences of a TaskBatch: rows whose
+/// long_seq/long_pad/short_seq/short_pad slices are equal (bitwise) share
+/// one entry. Distinct rows are numbered in order of first occurrence, so a
+/// batch with no repeats maps every row to itself.
+struct DistinctSequences {
+  int64_t count = 0;                     // U
+  std::vector<int64_t> row_to_distinct;  // [B] batch row -> distinct row
+  std::vector<int64_t> long_seq;         // [U * t_long]
+  std::vector<float> long_pad;           // [U * t_long]
+  std::vector<int64_t> short_seq;        // [U * t_short]
+  std::vector<float> short_pad;          // [U * t_short]
+  std::vector<int64_t> slots;            // open-addressing scratch
+};
+
+/// Fills `*out` from `batch` in O(B * (t_long + t_short)). Reuses the
+/// vector objects of `*out` (their addresses never change), so plan host
+/// stages can rebuild it in place.
+void BuildDistinctSequences(const TaskBatch& batch, DistinctSequences* out);
 
 /// Joint batch pairing the two role views of the same samples (what the
 /// multi-task ODNET consumes).

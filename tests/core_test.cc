@@ -1,5 +1,7 @@
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <type_traits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "src/core/trainer.h"
 #include "src/data/fliggy_simulator.h"
 #include "src/data/temporal_features.h"
+#include "src/telemetry/telemetry.h"
 #include "src/tensor/ops.h"
 
 namespace odnet {
@@ -178,6 +181,46 @@ TEST(PecTest, ShortTermQueryDrivesAttention) {
   EXPECT_EQ(out.numel(), 4);
   for (int64_t i = 0; i < out.numel(); ++i) {
     EXPECT_TRUE(std::isfinite(out.data()[i]));
+  }
+}
+
+TEST(PecTest, CopiesOfOneRowMatchOneRowBitwise) {
+  // PEC reads one row's sequences only, so B copies of a row encode to B
+  // copies of that row's v_L, bitwise: the property that lets the model run
+  // PEC once per distinct sequence.
+  OdnetConfig config;
+  util::Rng rng(11);
+  Pec pec(config, &rng);
+  const int64_t d = config.embed_dim;
+  const int64_t tl = config.t_long;
+  const int64_t ts = config.t_short;
+  tensor::NoGradGuard no_grad;
+  Tensor long1 = Tensor::Randn({1, tl, d}, &rng);
+  Tensor short1 = Tensor::Randn({1, ts, d}, &rng);
+  std::vector<float> long_pad1(static_cast<size_t>(tl), 1.0f);
+  std::vector<float> short_pad1(static_cast<size_t>(ts), 1.0f);
+  long_pad1[0] = long_pad1[1] = 0.0f;  // a user with tl - 2 bookings
+  short_pad1[0] = 0.0f;
+  Tensor one = pec.Forward(long1, long_pad1, short1, short_pad1);
+  for (int64_t b : {1, 2, 3, 7, 16, 17, 38, 64}) {
+    auto tile = [b](const std::vector<float>& row) {
+      std::vector<float> out;
+      for (int64_t i = 0; i < b; ++i) {
+        out.insert(out.end(), row.begin(), row.end());
+      }
+      return out;
+    };
+    Tensor long_b = Tensor::FromVector({b, tl, d}, tile(long1.vec()));
+    Tensor short_b = Tensor::FromVector({b, ts, d}, tile(short1.vec()));
+    Tensor out = pec.Forward(long_b, tile(long_pad1), short_b,
+                             tile(short_pad1));
+    ASSERT_EQ(out.shape(), (tensor::Shape{b, d}));
+    for (int64_t i = 0; i < b; ++i) {
+      EXPECT_EQ(std::memcmp(out.data() + i * d, one.data(),
+                            static_cast<size_t>(d) * sizeof(float)),
+                0)
+          << "B=" << b << " row " << i;
+    }
   }
 }
 
@@ -359,6 +402,189 @@ TEST(OdnetModelTest, PredictIsDeterministicUnderNoGrad) {
     EXPECT_DOUBLE_EQ(po1[i], po2[i]);
     EXPECT_DOUBLE_EQ(pd1[i], pd2[i]);
   }
+}
+
+// --------------------------------------- per-batch sequence sharing ---
+
+// Row `r` of a task batch as a batch of one.
+data::TaskBatch SliceRow(const data::TaskBatch& src, int64_t r) {
+  auto slice = [r](const auto& v, int64_t width) {
+    using V = std::decay_t<decltype(v)>;
+    return V(v.begin() + r * width, v.begin() + (r + 1) * width);
+  };
+  data::TaskBatch out;
+  out.batch = 1;
+  out.t_long = src.t_long;
+  out.t_short = src.t_short;
+  out.user_ids = slice(src.user_ids, 1);
+  out.current_city = slice(src.current_city, 1);
+  out.candidate = slice(src.candidate, 1);
+  out.labels = slice(src.labels, 1);
+  out.long_seq = slice(src.long_seq, src.t_long);
+  out.long_pad = slice(src.long_pad, src.t_long);
+  out.short_seq = slice(src.short_seq, src.t_short);
+  out.short_pad = slice(src.short_pad, src.t_short);
+  out.long_day_gap = slice(src.long_day_gap, src.t_long);
+  out.long_dist_gap = slice(src.long_dist_gap, src.t_long);
+  out.xst = slice(src.xst, data::TemporalFeatureIndex::kDim);
+  return out;
+}
+
+// Predict on the whole batch must equal Predict on each row alone, bitwise:
+// sharing PEC work between rows may not change any row's score.
+void ExpectBatchMatchesPerRow(OdnetModel* model, const data::OdBatch& batch) {
+  auto [po, pd] = model->Predict(batch);
+  ASSERT_EQ(static_cast<int64_t>(po.size()), batch.origin.batch);
+  for (int64_t r = 0; r < batch.origin.batch; ++r) {
+    data::OdBatch row{SliceRow(batch.origin, r),
+                      SliceRow(batch.destination, r)};
+    auto [ro, rd] = model->Predict(row);
+    EXPECT_EQ(po[static_cast<size_t>(r)], ro[0]) << "row " << r;
+    EXPECT_EQ(pd[static_cast<size_t>(r)], rd[0]) << "row " << r;
+  }
+}
+
+// The first `per_user` train samples of each listed user, in list order;
+// users repeat freely (every occurrence takes that user's next sample).
+std::vector<data::Sample> SamplesOf(const data::OdDataset& dataset,
+                                    const std::vector<int64_t>& users) {
+  std::vector<data::Sample> out;
+  std::map<int64_t, size_t> taken;
+  for (int64_t u : users) {
+    size_t skip = taken[u]++;
+    for (const data::Sample& s : dataset.train_samples) {
+      if (s.user == u && skip-- == 0) {
+        out.push_back(s);
+        break;
+      }
+    }
+  }
+  ODNET_CHECK_EQ(out.size(), users.size());
+  return out;
+}
+
+// Three users with non-empty long-term histories and at least three train
+// samples each.
+std::vector<int64_t> ThreeUsersWithHistory(const data::OdDataset& dataset) {
+  std::map<int64_t, int> samples_per_user;
+  for (const data::Sample& s : dataset.train_samples) {
+    ++samples_per_user[s.user];
+  }
+  std::vector<int64_t> users;
+  for (const auto& [u, n] : samples_per_user) {
+    if (n >= 3 &&
+        dataset.histories[static_cast<size_t>(u)].long_term.size() >= 3) {
+      users.push_back(u);
+    }
+    if (users.size() == 3) break;
+  }
+  ODNET_CHECK_EQ(users.size(), 3u);
+  return users;
+}
+
+OdnetConfig NoHsgcConfig() {
+  OdnetConfig config;
+  config.use_hsgc = false;  // no neighbour sampling: Predict is pure
+  return config;
+}
+
+TEST(SequenceSharingTest, RepeatedUsersMatchPerRowPredict) {
+  Fixture& f = SharedFixture();
+  const OdnetConfig config = NoHsgcConfig();
+  OdnetModel model(nullptr, f.dataset.num_users, f.dataset.num_cities,
+                   config);
+  const std::vector<int64_t> abc = ThreeUsersWithHistory(f.dataset);
+  const int64_t a = abc[0], b = abc[1], c = abc[2];
+  std::vector<data::Sample> samples = SamplesOf(f.dataset, {a, b, a, c, a});
+  data::BatchEncoder encoder(&f.dataset, f.temporal.get(),
+                             data::SequenceSpec{config.t_long,
+                                                config.t_short});
+  data::OdBatch batch = encoder.EncodeJoint(samples, 0, samples.size());
+  data::DistinctSequences distinct;
+  data::BuildDistinctSequences(batch.origin, &distinct);
+  ASSERT_EQ(distinct.count, 3);
+  EXPECT_EQ(distinct.row_to_distinct, (std::vector<int64_t>{0, 1, 0, 2, 0}));
+  ExpectBatchMatchesPerRow(&model, batch);
+}
+
+TEST(SequenceSharingTest, SameUserIdWithDifferentSequencesIsNotMerged) {
+  // A hand-built batch may repeat a user id over different sequences; each
+  // row must be scored on its own sequence (a key on user_ids fails here).
+  Fixture& f = SharedFixture();
+  const OdnetConfig config = NoHsgcConfig();
+  OdnetModel model(nullptr, f.dataset.num_users, f.dataset.num_cities,
+                   config);
+  const std::vector<int64_t> abc = ThreeUsersWithHistory(f.dataset);
+  std::vector<data::Sample> samples = SamplesOf(f.dataset, {abc[0], abc[1]});
+  data::BatchEncoder encoder(&f.dataset, f.temporal.get(),
+                             data::SequenceSpec{config.t_long,
+                                                config.t_short});
+  data::OdBatch batch = encoder.EncodeJoint(samples, 0, samples.size());
+  batch.origin.user_ids[1] = batch.origin.user_ids[0];
+  batch.destination.user_ids[1] = batch.destination.user_ids[0];
+  util::Rng rng(3);
+  RoleEncoder role(nullptr, graph::Metapath::kDeparture, f.dataset.num_users,
+                   f.dataset.num_cities, config, &rng);
+  ASSERT_EQ(role.DistinctSequenceRows(batch.origin), 2);
+  ExpectBatchMatchesPerRow(&model, batch);
+}
+
+TEST(SequenceSharingTest, AllPaddingRowsMerge) {
+  Fixture& f = SharedFixture();
+  const OdnetConfig config = NoHsgcConfig();
+  OdnetModel model(nullptr, f.dataset.num_users, f.dataset.num_cities,
+                   config);
+  data::BatchEncoder encoder(&f.dataset, f.temporal.get(),
+                             data::SequenceSpec{config.t_long,
+                                                config.t_short});
+  data::OdBatch batch = encoder.EncodeJoint(f.dataset.train_samples, 0, 4);
+  // Rows 0-2 become cold-start users (different ids and candidates, no
+  // behaviour at all); row 3 keeps its history.
+  for (data::TaskBatch* view : {&batch.origin, &batch.destination}) {
+    for (int64_t r = 0; r < 3; ++r) {
+      view->user_ids[static_cast<size_t>(r)] = r;
+      std::fill_n(view->long_seq.begin() + r * view->t_long, view->t_long, 0);
+      std::fill_n(view->long_pad.begin() + r * view->t_long, view->t_long,
+                  0.0f);
+      std::fill_n(view->short_seq.begin() + r * view->t_short, view->t_short,
+                  0);
+      std::fill_n(view->short_pad.begin() + r * view->t_short, view->t_short,
+                  0.0f);
+    }
+  }
+  ASSERT_GT(f.dataset.histories[static_cast<size_t>(
+                batch.origin.user_ids[3])].long_term.size(), 0u);
+  data::DistinctSequences distinct;
+  data::BuildDistinctSequences(batch.origin, &distinct);
+  EXPECT_EQ(distinct.count, 2);
+  EXPECT_EQ(distinct.row_to_distinct, (std::vector<int64_t>{0, 0, 0, 1}));
+  ExpectBatchMatchesPerRow(&model, batch);
+}
+
+TEST(SequenceSharingTest, TelemetryCountsRowsAndDistinctRows) {
+  Fixture& f = SharedFixture();
+  const OdnetConfig config = NoHsgcConfig();
+  OdnetModel model(nullptr, f.dataset.num_users, f.dataset.num_cities,
+                   config);
+  const std::vector<int64_t> abc = ThreeUsersWithHistory(f.dataset);
+  std::vector<data::Sample> samples =
+      SamplesOf(f.dataset, {abc[0], abc[1], abc[0], abc[2], abc[0]});
+  data::BatchEncoder encoder(&f.dataset, f.temporal.get(),
+                             data::SequenceSpec{config.t_long,
+                                                config.t_short});
+  data::OdBatch batch = encoder.EncodeJoint(samples, 0, samples.size());
+  auto& reg = telemetry::TelemetryRegistry::Get();
+  const bool was_enabled = telemetry::Enabled();
+  telemetry::SetEnabled(false);
+  const int64_t rows0 = reg.CounterValue("core.pec.rows");
+  model.Predict(batch);  // disabled: counters stay put
+  EXPECT_EQ(reg.CounterValue("core.pec.rows"), rows0);
+  telemetry::SetEnabled(true);
+  const int64_t distinct0 = reg.CounterValue("core.pec.distinct_rows");
+  model.Predict(batch);
+  telemetry::SetEnabled(was_enabled);
+  EXPECT_EQ(reg.CounterValue("core.pec.rows"), rows0 + 10);  // 5 x 2 roles
+  EXPECT_EQ(reg.CounterValue("core.pec.distinct_rows"), distinct0 + 6);
 }
 
 // Parameterized: the model trains at every paper-relevant depth/head combo.

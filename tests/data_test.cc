@@ -430,7 +430,8 @@ TEST(BatchEncoderTest, RoleViewsProjectCorrectCity) {
 
 TEST(BatchEncoderTest, AdditiveMaskMatchesPad) {
   std::vector<float> pad{1.0f, 0.0f, 1.0f};
-  auto mask = TaskBatch::AdditiveMask(pad);
+  std::vector<float> mask(pad.size());
+  AdditiveMask(pad, mask.data());
   EXPECT_EQ(mask[0], 0.0f);
   EXPECT_LT(mask[1], -1e8f);
   EXPECT_EQ(mask[2], 0.0f);

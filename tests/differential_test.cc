@@ -35,6 +35,7 @@
 #include "gtest/gtest.h"
 #include "src/baselines/odnet_recommender.h"
 #include "src/core/config.h"
+#include "src/core/pec.h"
 #include "src/optim/optimizer.h"
 #include "src/data/fliggy_simulator.h"
 #include "src/data/types.h"
@@ -1007,6 +1008,68 @@ TEST(DifferentialPlanTest, CaptureReplayMatchesEagerRunForRun) {
               (backend == Backend::kReference ? "ref" : "opt") +
               " threads=" + std::to_string(threads) + "]");
     }
+  }
+}
+
+// PEC row independence: the model runs PEC once per distinct behaviour
+// sequence and gathers v_L back to the batch rows (DESIGN.md §4). That only
+// keeps every score unchanged if B copies of one row encode to B copies of
+// that row's v_L, bitwise, under both backends, every capability tier and
+// every thread count — with threshold 1 forcing the parallel kernels.
+TEST(DifferentialModelTest, PecCopiesOfOneRowMatchOneRowBitwise) {
+  ComputeConfigGuard guard;
+  ComputeContext& ctx = ComputeContext::Get();
+  tensor::NoGradGuard no_grad;
+  core::OdnetConfig config;
+  util::Rng rng(4242);
+  core::Pec pec(config, &rng);
+  const int64_t d = config.embed_dim;
+  const int64_t tl = config.t_long;
+  const int64_t ts = config.t_short;
+  const std::vector<float> long_row =
+      testing::RandomTensor({tl, d}, &rng).vec();
+  const std::vector<float> short_row =
+      testing::RandomTensor({ts, d}, &rng).vec();
+  std::vector<float> long_pad_row(static_cast<size_t>(tl), 1.0f);
+  std::vector<float> short_pad_row(static_cast<size_t>(ts), 1.0f);
+  long_pad_row[0] = long_pad_row[1] = long_pad_row[2] = 0.0f;
+  short_pad_row[0] = 0.0f;
+  auto tile = [](const std::vector<float>& row, int64_t b) {
+    std::vector<float> out;
+    for (int64_t i = 0; i < b; ++i) {
+      out.insert(out.end(), row.begin(), row.end());
+    }
+    return out;
+  };
+  auto encode = [&](int64_t b) {
+    return pec
+        .Forward(Tensor::FromVector({b, tl, d}, tile(long_row, b)),
+                 tile(long_pad_row, b),
+                 Tensor::FromVector({b, ts, d}, tile(short_row, b)),
+                 tile(short_pad_row, b))
+        .vec();
+  };
+  auto check = [&](const std::string& tag) {
+    for (int threads : {1, 2, 8}) {
+      ctx.SetNumThreads(threads);
+      ctx.SetParallelThreshold(1);
+      const std::vector<float> one = encode(1);
+      for (int64_t b : {2, 7, 17, 38, 64}) {
+        const std::vector<float> many = encode(b);
+        ASSERT_EQ(static_cast<int64_t>(many.size()), b * d);
+        testing::ExpectUlpClose(many, tile(one, b), /*max_ulps=*/0,
+                                tag + " threads=" + std::to_string(threads) +
+                                    " B=" + std::to_string(b));
+      }
+    }
+  };
+  {
+    BackendGuard reference(Backend::kReference);
+    check("[ref]");
+  }
+  for (CpuCapability cap : tensor::AvailableCpuCapabilities()) {
+    CpuCapabilityScope cap_scope(cap);
+    check(std::string("[opt cap=") + CpuCapabilityName(cap) + "]");
   }
 }
 

@@ -609,6 +609,42 @@ core::OdnetConfig SmallModelConfig() {
   return config;
 }
 
+// One user x `n` candidate OD pairs, built like RankingService::BuildRows:
+// every row carries the same user and decision day, only the candidate
+// differs.
+std::vector<data::Sample> OneUserRows(const data::OdDataset& dataset,
+                                      int64_t user, int64_t n) {
+  const int64_t c = dataset.num_cities;
+  std::vector<data::Sample> rows;
+  for (int64_t i = 0; i < n; ++i) {
+    data::Sample s;
+    s.user = user;
+    s.candidate = data::OdPair{i % c, (i + 1) % c};
+    s.day = dataset.histories[static_cast<size_t>(user)].decision_day;
+    rows.push_back(s);
+  }
+  return rows;
+}
+
+// The first train sample of each of the first `n` users that have a
+// non-empty booking history (so no two rows share a sequence).
+std::vector<data::Sample> DistinctUserRows(const data::OdDataset& dataset,
+                                           int64_t skip_users, int64_t n) {
+  std::vector<data::Sample> rows;
+  int64_t last_user = -1;
+  for (const data::Sample& s : dataset.train_samples) {
+    if (s.user == last_user) continue;
+    last_user = s.user;
+    if (dataset.histories[static_cast<size_t>(s.user)].long_term.empty()) {
+      continue;
+    }
+    if (skip_users-- > 0) continue;
+    rows.push_back(s);
+    if (static_cast<int64_t>(rows.size()) == n) break;
+  }
+  return rows;
+}
+
 TEST(PredictPlannedTest, MatchesPredictAndInvalidatesOnShapeChange) {
   // use_hsgc off: Predict is a pure function of the batch, so plan hits,
   // misses, and re-captures can all be compared against eager Predict on
@@ -768,6 +804,72 @@ TEST(PredictPlannedTest, HsgcTwinModelsAgreeBitwise) {
   }
   EXPECT_EQ(planned_model.serving_plan_stats().captures, 1);
   EXPECT_EQ(planned_model.serving_plan_stats().replays, 2);
+
+  // Serving-shaped batches: one user x N candidates, so each role runs PEC
+  // on one distinct sequence (the first user captures, the second replays).
+  constexpr int64_t kCandidates = 12;
+  for (int64_t user : {int64_t{3}, int64_t{5}}) {
+    std::vector<data::Sample> rows =
+        OneUserRows(f.dataset, user, kCandidates);
+    data::OdBatch batch = encoder.EncodeJoint(rows, 0, rows.size());
+    auto eager = eager_model.Predict(batch);
+    auto planned = planned_model.PredictPlanned(batch);
+    ASSERT_EQ(eager.first.size(), static_cast<size_t>(kCandidates));
+    for (size_t i = 0; i < eager.first.size(); ++i) {
+      EXPECT_EQ(eager.first[i], planned.first[i]) << "user " << user;
+      EXPECT_EQ(eager.second[i], planned.second[i]) << "user " << user;
+    }
+  }
+  EXPECT_EQ(planned_model.serving_plan_stats().captures, 2);
+  EXPECT_EQ(planned_model.serving_plan_stats().replays, 3);
+}
+
+TEST(PredictPlannedTest, DistinctSequenceCountIsPartOfTheSignature) {
+  // At a fixed batch size, PEC's leading dimension is the number of
+  // distinct sequences: a batch with a different count captures its own
+  // plan, and each plan's replays equal Predict bitwise.
+  Fixture& f = SharedFixture();
+  core::OdnetConfig config = SmallModelConfig();
+  config.use_hsgc = false;
+  core::OdnetModel model(nullptr, f.dataset.num_users, f.dataset.num_cities,
+                         config);
+  data::BatchEncoder encoder(&f.dataset, f.temporal.get(),
+                             data::SequenceSpec{config.t_long,
+                                                config.t_short});
+  constexpr int64_t kB = 4;
+  auto encode = [&encoder](const std::vector<data::Sample>& rows) {
+    return encoder.EncodeJoint(rows, 0, rows.size());
+  };
+  const data::OdBatch spread = encode(DistinctUserRows(f.dataset, 0, kB));
+  const data::OdBatch spread2 = encode(DistinctUserRows(f.dataset, kB, kB));
+  const data::OdBatch one_user = encode(OneUserRows(f.dataset, 7, kB));
+  const data::OdBatch one_user2 = encode(OneUserRows(f.dataset, 9, kB));
+  for (const data::OdBatch* b : {&spread, &spread2}) {
+    data::DistinctSequences distinct;
+    data::BuildDistinctSequences(b->origin, &distinct);
+    ASSERT_EQ(distinct.count, kB);
+    data::BuildDistinctSequences(b->destination, &distinct);
+    ASSERT_EQ(distinct.count, kB);
+  }
+
+  auto expect_equal = [&model](const data::OdBatch& batch,
+                               const std::string& tag) {
+    auto planned = model.PredictPlanned(batch);
+    auto eager = model.Predict(batch);
+    ASSERT_EQ(planned.first.size(), static_cast<size_t>(kB)) << tag;
+    for (size_t i = 0; i < planned.first.size(); ++i) {
+      EXPECT_EQ(planned.first[i], eager.first[i]) << tag << " p_o[" << i;
+      EXPECT_EQ(planned.second[i], eager.second[i]) << tag << " p_d[" << i;
+    }
+  };
+  expect_equal(spread, "U=B capture");
+  expect_equal(one_user, "U=1 capture");
+  EXPECT_EQ(model.serving_plan_stats().captures, 2);
+  EXPECT_EQ(model.serving_plan_stats().replays, 0);
+  expect_equal(spread2, "U=B replay");
+  expect_equal(one_user2, "U=1 replay");
+  EXPECT_EQ(model.serving_plan_stats().captures, 2);
+  EXPECT_EQ(model.serving_plan_stats().replays, 2);
 }
 
 }  // namespace
