@@ -1,7 +1,5 @@
 #include "src/nn/attention.h"
 
-#include <cmath>
-
 #include "src/nn/init.h"
 #include "src/tensor/ops.h"
 
@@ -37,29 +35,17 @@ Tensor MultiHeadAttention::Forward(const Tensor& x,
                                    const Tensor& key_mask) const {
   ODNET_CHECK_EQ(x.rank(), 3);
   ODNET_CHECK_EQ(x.dim(2), dim_);
-  const int64_t batch = x.dim(0);
-  const int64_t t = x.dim(1);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-
-  std::vector<Tensor> heads;
-  heads.reserve(static_cast<size_t>(num_heads_));
-  for (int64_t h = 0; h < num_heads_; ++h) {
-    size_t uh = static_cast<size_t>(h);
-    Tensor q = tensor::MatMul(x, wq_[uh]);  // [B, T, dk]
-    Tensor k = tensor::MatMul(x, wk_[uh]);
-    Tensor v = tensor::MatMul(x, wv_[uh]);
-    Tensor scores =
-        tensor::MulScalar(tensor::MatMul(q, tensor::TransposeLast2(k)), scale);
-    if (key_mask.defined()) {
-      // Broadcast [B, T] additive mask over the query axis: [B, 1, T].
-      Tensor mask3 = tensor::Reshape(key_mask, {batch, 1, t});
-      scores = tensor::Add(scores, mask3);
-    }
-    Tensor attn = tensor::Softmax(scores);  // [B, T, T]
-    heads.push_back(tensor::MatMul(attn, v));
-  }
-  Tensor concat = tensor::Concat(heads, /*axis=*/-1);  // [B, T, h*dk]
-  return tensor::MatMul(concat, wo_);                  // [B, T, d]
+  // Packed projection: column blocks [Q heads | K heads | V heads]. Each
+  // qkv element sums the same x row against the same weight column as the
+  // per-head X W_i projections, so the values are bitwise theirs.
+  std::vector<Tensor> w;
+  w.reserve(static_cast<size_t>(3 * num_heads_));
+  w.insert(w.end(), wq_.begin(), wq_.end());
+  w.insert(w.end(), wk_.begin(), wk_.end());
+  w.insert(w.end(), wv_.begin(), wv_.end());
+  Tensor qkv = tensor::MatMul(x, tensor::Concat(w, /*axis=*/-1));
+  Tensor heads = tensor::MultiHeadSelfAttention(qkv, key_mask, num_heads_);
+  return tensor::MatMul(heads, wo_);  // [B, T, d]
 }
 
 DotProductAttention::DotProductAttention(int64_t dim, util::Rng* rng)

@@ -16,6 +16,14 @@ namespace nn {
 /// Per head i, head_i = Attention(X W_i^Q, X W_i^K, X W_i^V) with
 /// d_k = d / h; heads are concatenated and projected by W^O. Matches the
 /// PEC encoding layer of Fig. 4.
+///
+/// The parameters stay per head (wq0.., wk0.., wv0.., wo: the paper's
+/// matrices, the checkpoint names and the init draw order), but Forward
+/// runs four ops: Concat of the per-head weights into one [d, 3*h*d_k]
+/// matrix, one MatMul producing packed Q|K|V, tensor::MultiHeadSelfAttention
+/// for all heads at once, and the MatMul by W^O. The forward is bitwise
+/// equal to the per-head MatMul/Softmax chain; in training only the sum
+/// into dX of the packed projection runs in a different float order.
 class MultiHeadAttention : public Module {
  public:
   /// `dim` must be divisible by `num_heads`.

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 namespace odnet {
@@ -442,6 +443,16 @@ bool WriteChromeTrace(const std::string& path) {
   }
   out << "\n]}\n";
   return out.good();
+}
+
+const char* InternSpanName(std::string name) {
+  // Leaked, node-based pool: rehashing never moves the strings, and they
+  // must outlive every trace flush, including one at process exit.
+  static std::mutex* mutex = new std::mutex();
+  static std::unordered_set<std::string>* pool =
+      new std::unordered_set<std::string>();
+  std::lock_guard<std::mutex> lock(*mutex);
+  return pool->insert(std::move(name)).first->c_str();
 }
 
 // ---------------------------------------------------------------------------

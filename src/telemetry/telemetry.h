@@ -259,6 +259,13 @@ bool WriteChromeTrace(const std::string& path);
 /// Events currently buffered across all threads (test hook).
 int64_t TraceEventCount();
 
+/// Returns a process-lifetime copy of `name` for span names built at run
+/// time ("Fused[Add+Tanh]", "MatMul.bwd"): trace events keep bare name
+/// pointers until the trace is written, long after any owner of the name is
+/// gone. Equal names share one copy, so the pool is bounded by the number of
+/// distinct names.
+const char* InternSpanName(std::string name);
+
 /// \brief Records a complete span with explicit timestamps onto a named
 /// virtual trace lane — a synthetic trace thread for intervals that cross
 /// real threads (e.g. the serving router's queue waits: the start is stamped

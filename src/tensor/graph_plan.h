@@ -240,7 +240,7 @@ class GraphPlan {
   std::vector<Node> nodes_;
   std::vector<std::shared_ptr<std::vector<float>>> constants_;
   // Node::name points at string literals, or — for optimizer-synthesized
-  // fused nodes — at process-lifetime interned strings (plan_optimizer.cc):
+  // fused nodes — at process-lifetime strings (telemetry::InternSpanName):
   // trace events keep bare name pointers past any plan's lifetime.
   std::vector<int64_t> slot_sizes_;
   std::vector<Shape> input_shapes_;

@@ -745,6 +745,209 @@ Tensor TransposeLast2(const Tensor& a) {
   return result;
 }
 
+namespace {
+
+// Geometry of one MultiHeadSelfAttention call. Row r = b*t + i of qkv holds
+// [Q heads | K heads | V heads], `width` = heads*dk floats each.
+struct AttentionDims {
+  int64_t batch;
+  int64_t t;
+  int64_t heads;
+  int64_t dk;
+  float scale;
+  int64_t width() const { return heads * dk; }
+  int64_t row() const { return 3 * heads * dk; }
+};
+
+// Forward of batch rows [b0, b1). Per (b, head, query i) it replays the
+// per-head op chain's float order: scores start at +0.0f and sum p
+// ascending with zero q skipped (the MatMul row kernel), then `* scale`,
+// then `+ mask`, then the tier's softmax row, then A.V over ascending j
+// with zero weights skipped. `probs` ([batch, heads, t, t]) keeps the
+// softmax rows for backward; when null, two rows of per-call scratch stand
+// in, so concurrent replays of one plan share nothing.
+void AttentionForwardRows(const AttentionDims& d, const float* qkv,
+                          const float* mask, float* out, float* probs,
+                          int64_t b0, int64_t b1) {
+  const int64_t t = d.t;
+  const int64_t dk = d.dk;
+  const int64_t width = d.width();
+  const int64_t row = d.row();
+  const simd::SoftmaxRowFn softmax_row = simd::Kernels().softmax_row;
+  std::vector<float> scratch(static_cast<size_t>(probs == nullptr ? 2 * t : t));
+  float* s = scratch.data();
+  for (int64_t b = b0; b < b1; ++b) {
+    const float* x = qkv + b * t * row;
+    const float* m = mask != nullptr ? mask + b * t : nullptr;
+    for (int64_t h = 0; h < d.heads; ++h) {
+      const float* q = x + h * dk;
+      const float* k = x + width + h * dk;
+      const float* v = x + 2 * width + h * dk;
+      for (int64_t i = 0; i < t; ++i) {
+        std::fill(s, s + t, 0.0f);
+        for (int64_t p = 0; p < dk; ++p) {
+          const float qv = q[i * row + p];
+          if (qv == 0.0f) continue;
+          for (int64_t j = 0; j < t; ++j) s[j] += qv * k[j * row + p];
+        }
+        for (int64_t j = 0; j < t; ++j) s[j] = s[j] * d.scale;
+        if (m != nullptr) {
+          for (int64_t j = 0; j < t; ++j) s[j] = s[j] + m[j];
+        }
+        float* a = probs != nullptr ? probs + ((b * d.heads + h) * t + i) * t
+                                    : s + t;
+        softmax_row(s, a, t);
+        float* o = out + (b * t + i) * width + h * dk;
+        std::fill(o, o + dk, 0.0f);
+        for (int64_t j = 0; j < t; ++j) {
+          const float aw = a[j];
+          if (aw == 0.0f) continue;
+          for (int64_t c = 0; c < dk; ++c) o[c] += aw * v[j * row + c];
+        }
+      }
+    }
+  }
+}
+
+// Backward of batch rows [b0, b1) into `dqkv`, which each b owns rows of
+// exclusively. Per (b, head), queries i ascending: dA = G.V^T, dV += A^T.G,
+// the tier's softmax backward row, `* scale`, dQ += dS.K, dK += dS^T.Q —
+// each sum in the ascending order (zero multipliers skipped) of the MatMul,
+// Softmax and MulScalar backward kernels the per-head chain ran.
+void AttentionBackwardRows(const AttentionDims& d, const float* qkv,
+                           const float* probs, const float* g, float* dqkv,
+                           int64_t b0, int64_t b1) {
+  const int64_t t = d.t;
+  const int64_t dk = d.dk;
+  const int64_t width = d.width();
+  const int64_t row = d.row();
+  const simd::SoftmaxBwdRowFn softmax_bwd_row = simd::Kernels().softmax_bwd_row;
+  std::vector<float> scratch(static_cast<size_t>(2 * t));
+  float* da = scratch.data();
+  float* ds = da + t;
+  for (int64_t b = b0; b < b1; ++b) {
+    const float* x = qkv + b * t * row;
+    float* dx = dqkv + b * t * row;
+    for (int64_t h = 0; h < d.heads; ++h) {
+      const int64_t qo = h * dk;
+      const int64_t ko = width + h * dk;
+      const int64_t vo = 2 * width + h * dk;
+      for (int64_t i = 0; i < t; ++i) {
+        const float* a = probs + ((b * d.heads + h) * t + i) * t;
+        const float* gi = g + (b * t + i) * width + h * dk;
+        std::fill(da, da + t, 0.0f);
+        for (int64_t c = 0; c < dk; ++c) {
+          const float gv = gi[c];
+          if (gv == 0.0f) continue;
+          for (int64_t j = 0; j < t; ++j) da[j] += gv * x[j * row + vo + c];
+        }
+        for (int64_t j = 0; j < t; ++j) {
+          const float aw = a[j];
+          if (aw == 0.0f) continue;
+          float* dv = dx + j * row + vo;
+          for (int64_t c = 0; c < dk; ++c) dv[c] += aw * gi[c];
+        }
+        std::fill(ds, ds + t, 0.0f);
+        softmax_bwd_row(da, a, ds, t);
+        for (int64_t j = 0; j < t; ++j) ds[j] = ds[j] * d.scale;
+        float* dq = dx + i * row + qo;
+        for (int64_t j = 0; j < t; ++j) {
+          const float sv = ds[j];
+          if (sv == 0.0f) continue;
+          for (int64_t p = 0; p < dk; ++p) dq[p] += sv * x[j * row + ko + p];
+        }
+        for (int64_t p = 0; p < dk; ++p) {
+          const float qv = x[i * row + qo + p];
+          if (qv == 0.0f) continue;
+          for (int64_t j = 0; j < t; ++j) dx[j * row + ko + p] += qv * ds[j];
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+Tensor MultiHeadSelfAttention(const Tensor& qkv, const Tensor& key_mask,
+                              int64_t num_heads) {
+  ODNET_OP_SCOPE("MultiHeadSelfAttention");
+  ODNET_CHECK(qkv.defined());
+  ODNET_CHECK_EQ(qkv.rank(), 3);
+  ODNET_CHECK_GT(num_heads, 0);
+  ODNET_CHECK_EQ(qkv.dim(2) % (3 * num_heads), 0)
+      << "qkv width " << qkv.dim(2) << " is not 3 * " << num_heads
+      << " heads * d_k";
+  const int64_t dk = qkv.dim(2) / (3 * num_heads);
+  const AttentionDims dims{qkv.dim(0), qkv.dim(1), num_heads, dk,
+                           1.0f / std::sqrt(static_cast<float>(dk))};
+  const bool has_mask = key_mask.defined();
+  if (has_mask) {
+    ODNET_CHECK(key_mask.shape() == (Shape{dims.batch, dims.t}))
+        << "key_mask " << ShapeToString(key_mask.shape());
+    ODNET_CHECK(!key_mask.requires_grad()) << "key_mask is not differentiated";
+  }
+  const Shape out_shape{dims.batch, dims.t, dims.width()};
+  OpBuffer out = AllocOpResult(Numel(out_shape), ZeroInit::kSkip);
+  // Softmax rows are kept only when backward will need them.
+  std::shared_ptr<std::vector<float>> probs;
+  if (qkv.requires_grad() && GradModeEnabled()) {
+    probs = std::make_shared<std::vector<float>>(
+        static_cast<size_t>(dims.batch * dims.heads * dims.t * dims.t));
+  }
+  const int64_t per_b_work = dims.heads * dims.t * dims.t * (2 * dk + 1);
+
+  auto run = [dims, per_b_work](const float* pqkv, const float* pmask,
+                                float* po, float* pprobs) {
+    if (RefMode()) {
+      std::vector<float> local;
+      if (pprobs == nullptr) {
+        local.resize(static_cast<size_t>(dims.batch * dims.heads * dims.t *
+                                         dims.t));
+        pprobs = local.data();
+      }
+      reference::MultiHeadSelfAttentionForward(pqkv, pmask, po, pprobs,
+                                               dims.batch, dims.t, dims.heads,
+                                               dims.dk, dims.scale);
+      return;
+    }
+    Ctx().ParallelFor(dims.batch, Ctx().GrainFor(per_b_work),
+                      [=](int64_t b0, int64_t b1) {
+                        AttentionForwardRows(dims, pqkv, pmask, po, pprobs,
+                                             b0, b1);
+                      });
+  };
+  run(qkv.data(), has_mask ? key_mask.data() : nullptr, out.data(),
+      probs != nullptr ? probs->data() : nullptr);
+
+  Tensor result = Tensor::MakeForOp(
+      out_shape, std::move(out), {qkv},
+      [dims, per_b_work, probs](TensorImpl* self) {
+        TensorImpl* parent = self->parents[0].get();
+        const float* px = parent->data().data();
+        const float* pp = probs->data();
+        const float* g = self->grad.data();
+        float* dx = parent->grad.data();
+        if (RefMode()) {
+          reference::MultiHeadSelfAttentionBackward(px, pp, g, dx, dims.batch,
+                                                    dims.t, dims.heads,
+                                                    dims.dk, dims.scale);
+          return;
+        }
+        Ctx().ParallelFor(dims.batch, Ctx().GrainFor(2 * per_b_work),
+                          [=](int64_t b0, int64_t b1) {
+                            AttentionBackwardRows(dims, px, pp, g, dx, b0, b1);
+                          });
+      });
+  if (capture::Active()) {
+    std::vector<Tensor> ins{qkv};
+    if (has_mask) ins.push_back(key_mask);
+    capture::RecordOp(result, ins, [run, has_mask](const ReplayPtrs& p) {
+      run(p.in[0], has_mask ? p.in[1] : nullptr, p.out, nullptr);
+    });
+  }
+  return result;
+}
+
 Tensor Reshape(const Tensor& a, const Shape& new_shape) {
   ODNET_OP_SCOPE("Reshape");
   ODNET_CHECK(a.defined());

@@ -56,6 +56,20 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 /// Swaps the last two axes (rank >= 2).
 Tensor TransposeLast2(const Tensor& a);
 
+// -- Attention ---------------------------------------------------------------
+
+/// Multi-head scaled dot-product self-attention over packed projections.
+/// `qkv` is [B, T, 3*h*d_k] with column blocks [Q heads | K heads | V heads]
+/// (head i of each block at columns i*d_k); `key_mask` is an optional
+/// additive [B, T] mask over the key axis (0 valid, large negative padded;
+/// never differentiated). Returns [B, T, h*d_k] with head i at columns
+/// i*d_k. Per (b, head) the forward evaluates, in this float order, exactly
+/// the chain MatMul(Q, K^T) -> MulScalar(1/sqrt(d_k)) -> Add(mask) ->
+/// Softmax -> MatMul(., V) on the active tier, so it is bitwise equal to
+/// that composition; the backward runs inside the op into `qkv`'s grad.
+Tensor MultiHeadSelfAttention(const Tensor& qkv, const Tensor& key_mask,
+                              int64_t num_heads);
+
 // -- Shape manipulation -----------------------------------------------------
 
 /// Same data, new shape (numel must match). Zero-copy: the result is a view

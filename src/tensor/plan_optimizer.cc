@@ -2,12 +2,11 @@
 
 #include <cstdlib>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "src/telemetry/telemetry.h"
 #include "src/tensor/compute_context.h"
 #include "src/tensor/plan_ir.h"
 #include "src/tensor/shape.h"
@@ -200,20 +199,6 @@ simd::FusedOp ToFusedOp(OpKind k) {
   }
   ODNET_CHECK(false) << "not a fusable op kind";
   return simd::FusedOp::kAdd;
-}
-
-// Synthesized node names ("Fused[Add+Tanh]") are referenced as bare
-// const char* by both RecNode and — with no lifetime tracking at all —
-// telemetry trace events, which may be flushed at process exit long after
-// every plan holding the name is gone. Intern them in a leaked
-// process-lifetime pool (node-based container: rehashing never moves the
-// strings). The population is bounded by distinct chain compositions.
-const char* InternNodeName(std::string name) {
-  static std::mutex* mutex = new std::mutex();
-  static std::unordered_set<std::string>* pool =
-      new std::unordered_set<std::string>();
-  std::lock_guard<std::mutex> lock(*mutex);
-  return pool->insert(std::move(name)).first->c_str();
 }
 
 const char* OpKindLabel(OpKind k) {
@@ -493,7 +478,8 @@ PlanOptimizeStats OptimizePlanIr(Recorder* rec,
     fused.kernel = MakeFusedKernel(std::move(ex));
     fused.ins = std::move(fused_ins);
     fused.out = tail_out;
-    fused.name = InternNodeName(std::move(name));
+    // Synthesized names outlive the plan in trace events: intern them.
+    fused.name = telemetry::InternSpanName(std::move(name));
     // The fused node sits at the last chain node's position: every side
     // operand and the spine were produced at or before their original
     // consumers, and elementwise nodes are pure functions of plan values,

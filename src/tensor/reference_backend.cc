@@ -1,6 +1,7 @@
 #include "src/tensor/reference_backend.h"
 
 #include <cmath>
+#include <vector>
 
 namespace odnet {
 namespace tensor {
@@ -253,6 +254,87 @@ void SoftmaxBackward(const float* g, const float* y, float* da, int64_t rows,
     for (int64_t c = 0; c < cols; ++c) dot += dy[c] * yr[c];
     float* dx = da + r * cols;
     for (int64_t c = 0; c < cols; ++c) dx[c] += (dy[c] - dot) * yr[c];
+  }
+}
+
+void MultiHeadSelfAttentionForward(const float* qkv, const float* mask,
+                                   float* out, float* probs, int64_t batch,
+                                   int64_t t, int64_t heads, int64_t dk,
+                                   float scale) {
+  const int64_t width = heads * dk;
+  const int64_t row = 3 * width;
+  std::vector<float> s(static_cast<size_t>(t));
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* x = qkv + b * t * row;
+    for (int64_t h = 0; h < heads; ++h) {
+      const float* q = x + h * dk;
+      const float* k = x + width + h * dk;
+      const float* v = x + 2 * width + h * dk;
+      float* a = probs + (b * heads + h) * t * t;
+      for (int64_t i = 0; i < t; ++i) {
+        for (int64_t j = 0; j < t; ++j) {
+          float acc = 0.0f;
+          for (int64_t p = 0; p < dk; ++p) acc += q[i * row + p] * k[j * row + p];
+          acc = acc * scale;
+          if (mask != nullptr) acc = acc + mask[b * t + j];
+          s[static_cast<size_t>(j)] = acc;
+        }
+        SoftmaxForward(s.data(), a + i * t, 1, t);
+        for (int64_t c = 0; c < dk; ++c) {
+          float acc = 0.0f;
+          for (int64_t j = 0; j < t; ++j) acc += a[i * t + j] * v[j * row + c];
+          out[(b * t + i) * width + h * dk + c] = acc;
+        }
+      }
+    }
+  }
+}
+
+void MultiHeadSelfAttentionBackward(const float* qkv, const float* probs,
+                                    const float* g, float* dqkv, int64_t batch,
+                                    int64_t t, int64_t heads, int64_t dk,
+                                    float scale) {
+  const int64_t width = heads * dk;
+  const int64_t row = 3 * width;
+  std::vector<float> da(static_cast<size_t>(t));
+  std::vector<float> ds(static_cast<size_t>(t));
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* x = qkv + b * t * row;
+    float* dx = dqkv + b * t * row;
+    for (int64_t h = 0; h < heads; ++h) {
+      const int64_t qo = h * dk;
+      const int64_t ko = width + h * dk;
+      const int64_t vo = 2 * width + h * dk;
+      const float* a = probs + (b * heads + h) * t * t;
+      for (int64_t i = 0; i < t; ++i) {
+        const float* gi = g + (b * t + i) * width + h * dk;
+        for (int64_t j = 0; j < t; ++j) {
+          float acc = 0.0f;
+          for (int64_t c = 0; c < dk; ++c) acc += gi[c] * x[j * row + vo + c];
+          da[static_cast<size_t>(j)] = acc;
+          for (int64_t c = 0; c < dk; ++c) {
+            dx[j * row + vo + c] += a[i * t + j] * gi[c];
+          }
+        }
+        for (int64_t j = 0; j < t; ++j) ds[static_cast<size_t>(j)] = 0.0f;
+        SoftmaxBackward(da.data(), a + i * t, ds.data(), 1, t);
+        for (int64_t j = 0; j < t; ++j) {
+          ds[static_cast<size_t>(j)] = ds[static_cast<size_t>(j)] * scale;
+        }
+        for (int64_t p = 0; p < dk; ++p) {
+          for (int64_t j = 0; j < t; ++j) {
+            dx[i * row + qo + p] +=
+                ds[static_cast<size_t>(j)] * x[j * row + ko + p];
+          }
+        }
+        for (int64_t j = 0; j < t; ++j) {
+          for (int64_t p = 0; p < dk; ++p) {
+            dx[j * row + ko + p] +=
+                x[i * row + qo + p] * ds[static_cast<size_t>(j)];
+          }
+        }
+      }
+    }
   }
 }
 

@@ -119,6 +119,28 @@ void SoftmaxForward(const float* a, float* out, int64_t rows, int64_t cols);
 void SoftmaxBackward(const float* g, const float* y, float* da, int64_t rows,
                      int64_t cols);
 
+// -- Multi-head self-attention ---------------------------------------------
+
+/// qkv [batch, t, 3*heads*dk] (column blocks Q | K | V, head i at i*dk);
+/// mask [batch, t] additive over keys, or null. Per (b, head, i):
+/// s_j = (sum_p q_ip k_jp, p ascending) * scale (+ mask_bj); probs row =
+/// SoftmaxForward(s); out_ic = sum_j probs_ij v_jc, j ascending. `probs`
+/// ([batch, heads, t, t]) must be non-null; `out` is [batch, t, heads*dk].
+void MultiHeadSelfAttentionForward(const float* qkv, const float* mask,
+                                   float* out, float* probs, int64_t batch,
+                                   int64_t t, int64_t heads, int64_t dk,
+                                   float scale);
+
+/// Accumulates into `dqkv` the gradient of the forward above given its
+/// output grad `g` and the forward `probs`. Per (b, head), rows i ascending:
+/// dA_ij = sum_c g_ic v_jc (c ascending); dV_jc += probs_ij g_ic;
+/// dS = SoftmaxBackward(dA) * scale; dQ_ip += sum_j dS_ij k_jp (j
+/// ascending); dK_jp += q_ip dS_ij.
+void MultiHeadSelfAttentionBackward(const float* qkv, const float* probs,
+                                    const float* g, float* dqkv, int64_t batch,
+                                    int64_t t, int64_t heads, int64_t dk,
+                                    float scale);
+
 }  // namespace reference
 }  // namespace tensor
 }  // namespace odnet

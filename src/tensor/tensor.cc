@@ -1,8 +1,11 @@
 #include "src/tensor/tensor.h"
 
 #include <atomic>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
 
+#include "src/telemetry/telemetry.h"
 #include "src/tensor/graph_plan.h"
 
 namespace odnet {
@@ -249,6 +252,7 @@ Tensor Tensor::MakeForOp(Shape shape, std::vector<float> data,
     out.impl_->parents.reserve(parents.size());
     for (const Tensor& p : parents) out.impl_->parents.push_back(p.impl_ptr());
     out.impl_->backward_fn = std::move(backward);
+    out.impl_->op_name = telemetry::CurrentOpName();
   }
   return out;
 }
@@ -271,6 +275,7 @@ Tensor Tensor::MakeForOp(Shape shape, OpBuffer buffer,
     out.impl_->parents.reserve(parents.size());
     for (const Tensor& p : parents) out.impl_->parents.push_back(p.impl_ptr());
     out.impl_->backward_fn = std::move(backward);
+    out.impl_->op_name = telemetry::CurrentOpName();
   }
   return out;
 }
@@ -299,6 +304,7 @@ Tensor Tensor::MakeViewForOp(
     out.impl_->requires_grad = true;
     out.impl_->parents.push_back(parent.impl_ptr());
     out.impl_->backward_fn = std::move(backward);
+    out.impl_->op_name = telemetry::CurrentOpName();
   }
   return out;
 }
@@ -332,6 +338,17 @@ std::vector<TensorImpl*> BuildBackwardTopo(TensorImpl* root) {
   return topo;
 }
 
+// "<op>.bwd" for a tape node's op name, interned once per op and cached
+// per thread so traced backward passes take no lock.
+const char* BackwardSpanName(const char* op_name) {
+  thread_local std::unordered_map<const char*, const char*> cache;
+  const char*& name = cache[op_name];
+  if (name == nullptr) {
+    name = telemetry::InternSpanName(std::string(op_name) + ".bwd");
+  }
+  return name;
+}
+
 // Seeds d(root)/d(root) = 1 and runs the backward closures over `topo`.
 void SeedAndRunBackward(TensorImpl* root,
                         const std::vector<TensorImpl*>& topo) {
@@ -352,7 +369,12 @@ void SeedAndRunBackward(TensorImpl* root,
           parent->MarkGradDense();
         }
       }
-      node->backward_fn(node);
+      if (telemetry::TraceEnabled() && node->op_name != nullptr) {
+        telemetry::SpanScope span(BackwardSpanName(node->op_name), "tensor");
+        node->backward_fn(node);
+      } else {
+        node->backward_fn(node);
+      }
     }
   }
 }

@@ -45,6 +45,9 @@ struct TensorImpl {
   // Autograd tape. `backward_fn` distributes `grad` into parents' grads.
   std::vector<std::shared_ptr<TensorImpl>> parents;
   std::function<void(TensorImpl*)> backward_fn;
+  // Op that recorded `backward_fn` (telemetry::CurrentOpName() at record
+  // time, a string literal); names the "<op>.bwd" trace span.
+  const char* op_name = nullptr;
 
   // Row-sparsity metadata over `grad`, valid only for rank-2 tensors (the
   // embedding tables). When `grad_rows_valid` is true, every nonzero of

@@ -557,6 +557,57 @@ TEST(DifferentialOpTest, Softmax) {
   }
 }
 
+// ------------------------------------------------ multi-head self-attention --
+
+// Packed-QKV attention against its naive oracle over PEC's sequence lengths
+// (t_short = 5, t_long = 10) and the edges: T = 1, d_k = 1, a batch row
+// whose mask pads every key, and exact zeros in Q, which the optimized
+// kernel skips and the oracle multiplies through.
+TEST(DifferentialOpTest, MultiHeadSelfAttention) {
+  uint64_t seed = 6600;
+  for (int64_t t : {1, 5, 10}) {
+    for (int64_t heads : {1, 2, 4}) {
+      for (int64_t dk : {1, 4}) {
+        for (bool masked : {false, true}) {
+          const std::string tag =
+              "MHSA/T" + std::to_string(t) + "/h" + std::to_string(heads) +
+              "/dk" + std::to_string(dk) + (masked ? "/masked" : "");
+          CheckOp(
+              tag, seed++,
+              [t, heads, dk, masked](std::vector<Tensor>* leaves,
+                                     util::Rng* rng) {
+                const int64_t batch = 3;
+                const int64_t width = heads * dk;
+                Tensor qkv =
+                    testing::RandomTensor({batch, t, 3 * width}, rng);
+                float* x = qkv.mutable_data();
+                for (int64_t r = 0; r < batch * t; ++r) {
+                  for (int64_t c = 0; c < width; ++c) {
+                    if (rng->Bernoulli(0.25)) x[r * 3 * width + c] = 0.0f;
+                  }
+                }
+                qkv.set_requires_grad(true);
+                leaves->push_back(qkv);
+                Tensor mask;
+                if (masked) {
+                  // Row 0 pads every key; the others pad each key w.p. 1/3.
+                  std::vector<float> m(static_cast<size_t>(batch * t), 0.0f);
+                  for (int64_t i = 0; i < batch * t; ++i) {
+                    if (i < t || rng->Bernoulli(1.0 / 3.0)) {
+                      m[static_cast<size_t>(i)] = -1e9f;
+                    }
+                  }
+                  mask = Tensor::FromVector({batch, t}, m);
+                }
+                return tensor::MultiHeadSelfAttention(qkv, mask, heads);
+              },
+              kExpFamilyOpTol);
+        }
+      }
+    }
+  }
+}
+
 TEST(DifferentialOpTest, Dropout) {
   // Training: the mask RNG stream is consumed identically by both backends,
   // so the masked outputs must match bitwise.
@@ -1127,6 +1178,15 @@ TEST(DifferentialGradCheckTest, CompositeGraphsUnderBothBackends) {
       Tensor e = testing::RandomTensor({3, 4}, &rng, false, 0.5f, 2.5f);
       testing::ExpectGradCheck({d, e}, [](const std::vector<Tensor>& in) {
         return tensor::Mean(tensor::Tanh(tensor::Div(in[0], in[1])));
+      });
+
+      Tensor qkv = testing::RandomTensor({2, 3, 12}, &rng, false, -1.0f,
+                                         1.0f);
+      Tensor mask = Tensor::FromVector({2, 3}, {0, 0, -1e9f, 0, 0, 0});
+      Tensor w = testing::RandomTensor({2, 3, 4}, &rng);
+      testing::ExpectGradCheck({qkv}, [&mask, &w](const std::vector<Tensor>& in) {
+        return tensor::Sum(tensor::Mul(
+            tensor::MultiHeadSelfAttention(in[0], mask, /*num_heads=*/2), w));
       });
 
       Tensor logits = testing::RandomTensor({5, 1}, &rng);

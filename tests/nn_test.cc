@@ -1,4 +1,8 @@
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/nn/attention.h"
@@ -7,6 +11,8 @@
 #include "src/nn/lstm.h"
 #include "src/nn/module.h"
 #include "src/optim/optimizer.h"
+#include "src/tensor/compute_context.h"
+#include "src/tensor/cpu_capability.h"
 #include "src/tensor/ops.h"
 #include "tests/test_util.h"
 
@@ -154,6 +160,95 @@ TEST(MultiHeadAttentionTest, GradientsFlowToAllProjections) {
     for (float g : p.grad()) norm += std::fabs(g);
     EXPECT_GT(norm, 0.0);
   }
+}
+
+// The per-head op chain MultiHeadAttention ran before its heads were packed
+// into one tensor::MultiHeadSelfAttention op, rebuilt from the module's own
+// named parameters.
+Tensor PerHeadComposition(const MultiHeadAttention& mha, const Tensor& x,
+                          const Tensor& key_mask) {
+  std::map<std::string, Tensor> w;
+  for (const auto& [name, param] : mha.NamedParameters()) w[name] = param;
+  const int64_t batch = x.dim(0);
+  const int64_t t = x.dim(1);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(mha.head_dim()));
+  std::vector<Tensor> heads;
+  for (int64_t h = 0; h < mha.num_heads(); ++h) {
+    const std::string i = std::to_string(h);
+    Tensor q = tensor::MatMul(x, w.at("wq" + i));
+    Tensor k = tensor::MatMul(x, w.at("wk" + i));
+    Tensor v = tensor::MatMul(x, w.at("wv" + i));
+    Tensor scores =
+        tensor::MulScalar(tensor::MatMul(q, tensor::TransposeLast2(k)), scale);
+    if (key_mask.defined()) {
+      scores = tensor::Add(scores, tensor::Reshape(key_mask, {batch, 1, t}));
+    }
+    heads.push_back(tensor::MatMul(tensor::Softmax(scores), v));
+  }
+  return tensor::MatMul(tensor::Concat(heads, -1), w.at("wo"));
+}
+
+// Packing Q|K|V into one MatMul and the heads into one op moves no forward
+// float: outputs equal the per-head chain bitwise on every tier and thread
+// count, with a fully padded batch row and all-zero input rows. Gradients
+// differ only through the order of the dX sum, so they are compared near.
+TEST(MultiHeadAttentionTest, MatchesPerHeadCompositionBitwise) {
+  tensor::ComputeContext& ctx = tensor::ComputeContext::Get();
+  const int saved_threads = ctx.num_threads();
+  const int64_t saved_threshold = ctx.parallel_threshold();
+  for (tensor::CpuCapability cap : tensor::AvailableCpuCapabilities()) {
+    tensor::CpuCapabilityScope cap_scope(cap);
+    for (int threads : {1, 4}) {
+      ctx.SetNumThreads(threads);
+      ctx.SetParallelThreshold(1);
+      for (int64_t d : {8, 16}) {
+        for (int64_t heads : {1, 2, 4}) {
+          for (int64_t t : {1, 5, 10}) {
+            const std::string tag =
+                std::string("cap=") + tensor::CpuCapabilityName(cap) +
+                " threads=" + std::to_string(threads) +
+                " d=" + std::to_string(d) + " h=" + std::to_string(heads) +
+                " T=" + std::to_string(t);
+            util::Rng rng(static_cast<uint64_t>(100 * d + 10 * heads + t));
+            MultiHeadAttention mha(d, heads, &rng);
+            const int64_t batch = 3;
+            Tensor x = Tensor::Randn({batch, t, d}, &rng);
+            // Batch row 1 is all zeros; the last position of row 2 too.
+            float* px = x.mutable_data();
+            std::fill(px + t * d, px + 2 * t * d, 0.0f);
+            std::fill(px + (3 * t - 1) * d, px + 3 * t * d, 0.0f);
+            // Row 0 pads every key; row 2 pads its last key.
+            std::vector<float> m(static_cast<size_t>(batch * t), 0.0f);
+            std::fill(m.begin(), m.begin() + t, -1e9f);
+            m.back() = -1e9f;
+            Tensor mask = Tensor::FromVector({batch, t}, m);
+            Tensor upstream = Tensor::Randn({batch, t, d}, &rng);
+            x.set_requires_grad(true);
+
+            auto grads = [&](const Tensor& y) {
+              for (Tensor p : mha.Parameters()) p.ZeroGrad();
+              x.ZeroGrad();
+              tensor::Sum(tensor::Mul(y, upstream)).Backward();
+              std::vector<float> all = x.grad();
+              for (const Tensor& p : mha.Parameters()) {
+                all.insert(all.end(), p.grad().begin(), p.grad().end());
+              }
+              return all;
+            };
+            for (const Tensor& key_mask : {Tensor(), mask}) {
+              Tensor packed = mha.Forward(x, key_mask);
+              Tensor chain = PerHeadComposition(mha, x, key_mask);
+              testing::ExpectUlpClose(packed.vec(), chain.vec(), 0, tag);
+              testing::ExpectClose(grads(packed), grads(chain), 1e-4f, 1e-5f,
+                                   tag + " grads");
+            }
+          }
+        }
+      }
+    }
+  }
+  ctx.SetNumThreads(saved_threads);
+  ctx.SetParallelThreshold(saved_threshold);
 }
 
 TEST(DotProductAttentionTest, UniformValuesGiveValueBack) {

@@ -378,6 +378,16 @@ TEST(SpanTest, WriteChromeTraceRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(SpanTest, InternSpanNameSharesOneCopyPerName) {
+  std::string name = "test.intern.";
+  name += "a";
+  const char* first = InternSpanName(name);
+  name[name.size() - 1] = 'b';  // the pool keeps its own copy
+  EXPECT_STREQ(first, "test.intern.a");
+  EXPECT_EQ(InternSpanName("test.intern.a"), first);
+  EXPECT_NE(InternSpanName(name), first);
+}
+
 TEST(OpScopeTest, MaintainsCurrentOpNameWhileDisabled) {
   ASSERT_FALSE(Enabled());
   EXPECT_EQ(CurrentOpName(), nullptr);

@@ -1,9 +1,14 @@
 #include "src/tensor/tensor.h"
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "gtest/gtest.h"
+#include "src/telemetry/telemetry.h"
 #include "src/tensor/compute_context.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/shape.h"
@@ -796,6 +801,32 @@ TEST(ComputeContextTest, TrainedWeightsIdenticalAcrossThreadCounts) {
                            runs[0].size() * sizeof(float)));
   EXPECT_EQ(0, std::memcmp(runs[0].data(), runs[2].data(),
                            runs[0].size() * sizeof(float)));
+}
+
+// Traced backward passes attribute each tape node to a "<op>.bwd" span in
+// the "tensor" category, named after the op that recorded the node.
+TEST(BackwardSpanTest, NamesEachNodeAfterItsOp) {
+  const bool was_enabled = telemetry::Enabled();
+  const bool was_tracing = telemetry::TraceEnabled();
+  telemetry::SetTraceEnabled(true);
+  util::Rng rng(3);
+  Tensor a = Tensor::Randn({2, 3}, &rng, 1.0f, true);
+  Tensor b = Tensor::Randn({3, 4}, &rng, 1.0f, true);
+  Sum(MatMul(a, b)).Backward();
+  telemetry::SetEnabled(was_enabled);
+  telemetry::SetTraceEnabled(was_tracing);
+
+  const std::string path = ::testing::TempDir() + "/backward_span_trace.json";
+  ASSERT_TRUE(telemetry::WriteChromeTrace(path));
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string trace = buf.str();
+  std::remove(path.c_str());
+  EXPECT_NE(trace.find("\"name\": \"MatMul.bwd\", \"cat\": \"tensor\""),
+            std::string::npos);
+  EXPECT_NE(trace.find("\"name\": \"Sum.bwd\", \"cat\": \"tensor\""),
+            std::string::npos);
 }
 
 }  // namespace
