@@ -32,9 +32,11 @@ class OdnetRecommender : public OdRecommender {
                              const std::vector<data::Sample>& samples) override;
   double theta() const override;
   void InvalidateServingPlans() override;
-  // ThreadSafeScore stays false: the forward pass draws from the HSGC
-  // neighbor-sampling RNG (shared mutable stream), so concurrent Score
-  // calls would race. ODNET parallelizes inside the tensor backend instead.
+  // ThreadSafeScore stays false. Scoring is pure (it reads the HSGC node
+  // tables, never the sampling stream), but a Score call still writes
+  // model-owned state: the plan-cache map, each encoder's distinct-sequence
+  // workspace and the lazily built tables (DESIGN.md §13). ODNET
+  // parallelizes inside the tensor backend instead.
 
   const core::OdnetModel* model() const { return model_.get(); }
   const core::TrainStats& train_stats() const { return train_stats_; }

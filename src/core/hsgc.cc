@@ -1,6 +1,7 @@
 #include "src/core/hsgc.h"
 
 #include "src/data/encoding.h"
+#include "src/telemetry/telemetry.h"
 #include "src/tensor/graph_plan.h"
 #include "src/tensor/ops.h"
 
@@ -18,7 +19,11 @@ Hsgc::Hsgc(const graph::HeterogeneousSpatialGraph* graph, graph::Metapath rho,
       user_features_(graph->num_users(), config.embed_dim, rng),
       city_features_(graph->num_cities(), config.embed_dim, rng),
       transform_(config.embed_dim, config.embed_dim, rng, /*bias=*/false),
-      sample_rng_(rng->NextUint64()) {
+      sample_rng_(rng->NextUint64()),
+      // A pure function of the config: drawing it from `rng` would move
+      // every later initial weight.
+      pure_seed_(util::Rng::StreamSeed(config.seed, 0x48534743 /* "HSGC" */,
+                                       static_cast<uint64_t>(rho))) {
   ODNET_CHECK(graph_ != nullptr);
   ODNET_CHECK(graph_->finalized());
   ODNET_CHECK_GE(config_.exploration_depth, 1);
@@ -38,6 +43,20 @@ Hsgc::Hsgc(const graph::HeterogeneousSpatialGraph* graph, graph::Metapath rho,
   }
   city_ws_.resize(static_cast<size_t>(config_.exploration_depth));
   user_ws_.resize(static_cast<size_t>(config_.exploration_depth));
+}
+
+std::vector<int64_t> Hsgc::SampleNeighbors(bool user, int64_t v, int64_t k,
+                                           Sampling sampling) {
+  const int64_t cap = config_.neighbor_cap;
+  auto draw = [&](util::Rng* rng) {
+    return user ? graph_->SampleUserNeighborCities(v, rho_, cap, rng)
+                : graph_->SampleCityNeighborCities(v, rho_, cap, rng);
+  };
+  if (sampling == Sampling::kStochastic) return draw(&sample_rng_);
+  util::Rng node_rng(util::Rng::StreamSeed(pure_seed_, user ? 1 : 0,
+                                           static_cast<uint64_t>(k),
+                                           static_cast<uint64_t>(v)));
+  return draw(&node_rng);
 }
 
 Tensor Hsgc::AggregateStep(const Tensor& self_emb, const Tensor& neighbor_emb,
@@ -75,7 +94,7 @@ Tensor Hsgc::AggregateStep(const Tensor& self_emb, const Tensor& neighbor_emb,
       step_weights_[static_cast<size_t>(step - 1)]->Forward(concat));
 }
 
-Hsgc::State Hsgc::Forward() {
+Hsgc::State Hsgc::Forward(Sampling sampling) {
   const int64_t n = graph_->num_cities();
   const int64_t cap = config_.neighbor_cap;
 
@@ -89,7 +108,7 @@ Hsgc::State Hsgc::Forward() {
     // stable workspace. Under capture the whole sampling loop is a recorded
     // host stage, re-run per replay so the RNG stream matches eager.
     LevelWs* ws = &city_ws_[static_cast<size_t>(k - 1)];
-    tensor::PlanHostStage([this, ws, n, cap]() {
+    tensor::PlanHostStage([this, ws, n, cap, k, sampling]() {
       ws->nbr_ids.assign(static_cast<size_t>(n * cap), 0);
       ws->pad.assign(static_cast<size_t>(n * cap), 0.0f);
       if (config_.use_spatial_weights) {
@@ -99,7 +118,7 @@ Hsgc::State Hsgc::Forward() {
       }
       for (int64_t c = 0; c < n; ++c) {
         std::vector<int64_t> nbrs =
-            graph_->SampleCityNeighborCities(c, rho_, cap, &sample_rng_);
+            SampleNeighbors(/*user=*/false, c, k, sampling);
         for (size_t j = 0; j < nbrs.size(); ++j) {
           size_t idx = static_cast<size_t>(c * cap) + j;
           ws->nbr_ids[idx] = nbrs[j];
@@ -129,7 +148,8 @@ Tensor Hsgc::EmbedCities(const State& state,
 }
 
 Tensor Hsgc::EmbedUsers(const State& state,
-                        const std::vector<int64_t>& user_ids) {
+                        const std::vector<int64_t>& user_ids,
+                        Sampling sampling) {
   const int64_t batch = static_cast<int64_t>(user_ids.size());
   const int64_t cap = config_.neighbor_cap;
 
@@ -139,12 +159,12 @@ Tensor Hsgc::EmbedUsers(const State& state,
   for (int64_t k = 1; k <= config_.exploration_depth; ++k) {
     LevelWs* ws = &user_ws_[static_cast<size_t>(k - 1)];
     const std::vector<int64_t>* ids = &user_ids;
-    tensor::PlanHostStage([this, ws, ids, batch, cap]() {
+    tensor::PlanHostStage([this, ws, ids, batch, cap, k, sampling]() {
       ws->nbr_ids.assign(static_cast<size_t>(batch * cap), 0);
       ws->pad.assign(static_cast<size_t>(batch * cap), 0.0f);
       for (int64_t i = 0; i < batch; ++i) {
-        std::vector<int64_t> nbrs = graph_->SampleUserNeighborCities(
-            (*ids)[static_cast<size_t>(i)], rho_, cap, &sample_rng_);
+        std::vector<int64_t> nbrs = SampleNeighbors(
+            /*user=*/true, (*ids)[static_cast<size_t>(i)], k, sampling);
         for (size_t j = 0; j < nbrs.size(); ++j) {
           size_t idx = static_cast<size_t>(i * cap) + j;
           ws->nbr_ids[idx] = nbrs[j];
@@ -160,6 +180,19 @@ Tensor Hsgc::EmbedUsers(const State& state,
                              batch, k);
   }
   return user_emb;
+}
+
+Hsgc::Tables Hsgc::BuildInferenceTables() {
+  telemetry::SpanScope span("Hsgc.BuildInferenceTables", "core");
+  tensor::NoGradGuard no_grad;
+  std::vector<int64_t> all_users(static_cast<size_t>(graph_->num_users()));
+  for (size_t u = 0; u < all_users.size(); ++u) {
+    all_users[u] = static_cast<int64_t>(u);
+  }
+  const State state = Forward(Sampling::kPure);
+  // Clone: owned storage, whatever arena the caller has in scope.
+  return Tables{EmbedUsers(state, all_users, Sampling::kPure).Clone(),
+                state.city_levels.back().Clone()};
 }
 
 }  // namespace core

@@ -28,12 +28,26 @@ namespace core {
 /// City-level aggregation runs over the full (small) city set — exactly the
 /// "for each v in V" loop — while user embeddings are computed lazily for
 /// the batch's users, since no other node consumes them. Neighborhoods are
-/// re-sampled each pass with the configured cap (5, following [37]).
+/// capped at the configured size (5, following [37]).
+///
+/// Training samples neighborhoods afresh each pass from one mutable stream,
+/// as the paper does. Inference (Sampling::kPure) draws node v's level-k
+/// neighbors from a stream seeded by (config.seed, role, node kind, k, v),
+/// so its output is a function of the weights alone. Serving never runs
+/// this aggregation per request: BuildInferenceTables snapshots the level-K
+/// embedding of every user and city once per model version, and the
+/// serving path gathers rows from those tables (DESIGN.md §4).
 class Hsgc : public nn::Module {
  public:
   /// `graph` must be finalized and outlive this component.
   Hsgc(const graph::HeterogeneousSpatialGraph* graph, graph::Metapath rho,
        const OdnetConfig& config, util::Rng* rng);
+
+  /// How neighbors are drawn when a node has more than neighbor_cap.
+  enum class Sampling {
+    kStochastic,  // training: fresh draws from the shared sample stream
+    kPure,        // inference: a fixed draw per (role, kind, level, node)
+  };
 
   /// Per-pass state: the level-k city embedding tables (k = 0..K).
   struct State {
@@ -41,7 +55,7 @@ class Hsgc : public nn::Module {
   };
 
   /// Runs the city-side K-step aggregation (Algorithm 1 over city nodes).
-  State Forward();
+  State Forward(Sampling sampling = Sampling::kStochastic);
 
   /// Level-K spatial semantic embeddings of `city_ids` laid out as
   /// `index_shape` (output index_shape + [d]). A plain gather from the
@@ -55,8 +69,23 @@ class Hsgc : public nn::Module {
   /// active, the caller must keep the `user_ids` vector *object* alive and
   /// address-stable across replays (a bound-batch field), and call this at
   /// most once per capture (the per-level sampling workspaces are members).
+  /// `sampling` must match the one `state` was built with.
   tensor::Tensor EmbedUsers(const State& state,
-                            const std::vector<int64_t>& user_ids);
+                            const std::vector<int64_t>& user_ids,
+                            Sampling sampling = Sampling::kStochastic);
+
+  /// Level-K embeddings of every node, one row per id.
+  struct Tables {
+    tensor::Tensor users;   // [num_users, d]
+    tensor::Tensor cities;  // [num_cities, d]
+  };
+
+  /// Runs Forward + EmbedUsers over all users with pure sampling, without
+  /// a tape, into owned storage. Row u equals a pure EmbedUsers of {u}
+  /// bitwise (every op is row-wise). The tables snapshot the current
+  /// weights: a caller that changes the weights must build new ones. Must
+  /// not run under a plan capture.
+  Tables BuildInferenceTables();
 
   int64_t embed_dim() const { return d_; }
   graph::Metapath metapath() const { return rho_; }
@@ -84,6 +113,11 @@ class Hsgc : public nn::Module {
     std::vector<float> spatial;    // [N * cap] w_ij, cities only
   };
 
+  /// Metapath-neighbor cities of user or city `v` at level `k`, capped at
+  /// neighbor_cap under `sampling`.
+  std::vector<int64_t> SampleNeighbors(bool user, int64_t v, int64_t k,
+                                       Sampling sampling);
+
   /// One aggregation step: given self embeddings [N, d] and per-row
   /// neighbor ids/pad ([N, cap]), computes e^k via Eq. 1 + line 5.
   /// `spatial` is the optional per-row w_ij matrix ([N, cap], cities
@@ -110,6 +144,7 @@ class Hsgc : public nn::Module {
   std::vector<LevelWs> user_ws_;        // per level k = 1..K
 
   mutable util::Rng sample_rng_;
+  uint64_t pure_seed_;  // base of the per-node Sampling::kPure streams
 };
 
 }  // namespace core

@@ -1,5 +1,6 @@
 #include "src/core/odnet_model.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/data/temporal_features.h"
@@ -39,16 +40,6 @@ void RoleEncoder::SeedSampleStream(uint64_t seed) {
   if (hsgc_ != nullptr) hsgc_->SeedSampleStream(seed);
 }
 
-Tensor RoleEncoder::EmbedCitySeq(const Hsgc::State* state,
-                                 const std::vector<int64_t>& ids,
-                                 const tensor::Shape& shape) const {
-  if (hsgc_ != nullptr) {
-    ODNET_CHECK(state != nullptr);
-    return hsgc_->EmbedCities(*state, ids, shape);
-  }
-  return city_embed_->Forward(ids, shape);
-}
-
 namespace {
 
 // Share of PEC work saved by sequence sharing: rows encoded vs distinct
@@ -77,17 +68,38 @@ int64_t RoleEncoder::DistinctSequenceRows(const data::TaskBatch& batch) {
 }
 
 Tensor RoleEncoder::Forward(const data::TaskBatch& batch) {
+  if (hsgc_ == nullptr) {
+    return Encode(batch, user_embed_->Forward(batch.user_ids),
+                  city_embed_->table());
+  }
+  Hsgc::State state = hsgc_->Forward();
+  Tensor e_user = hsgc_->EmbedUsers(state, batch.user_ids);
+  return Encode(batch, e_user, state.city_levels.back());
+}
+
+Tensor RoleEncoder::ForwardServing(const data::TaskBatch& batch) {
+  const Tensor& users = hsgc_ != nullptr ? tables_.users : user_embed_->table();
+  const Tensor& cities =
+      hsgc_ != nullptr ? tables_.cities : city_embed_->table();
+  ODNET_CHECK(users.defined()) << "BuildServingTables() has not run";
+  return Encode(batch,
+                tensor::EmbeddingLookup(users, batch.user_ids, {batch.batch}),
+                cities);
+}
+
+const Hsgc::Tables& RoleEncoder::BuildServingTables() {
+  ODNET_CHECK(hsgc_ != nullptr);
+  tables_ = hsgc_->BuildInferenceTables();
+  return tables_;
+}
+
+Tensor RoleEncoder::Encode(const data::TaskBatch& batch, const Tensor& e_user,
+                           const Tensor& city_table) {
   const int64_t b = batch.batch;
   ODNET_CHECK_GT(b, 0);
-  Hsgc::State state;
-  if (hsgc_ != nullptr) state = hsgc_->Forward();
-  const Hsgc::State* sp = hsgc_ != nullptr ? &state : nullptr;
-
   // Spatial semantic embeddings of every id-typed input (Fig. 3's e^X_*).
-  Tensor e_user = hsgc_ != nullptr ? hsgc_->EmbedUsers(state, batch.user_ids)
-                                   : user_embed_->Forward(batch.user_ids);
-  Tensor e_lbs = EmbedCitySeq(sp, batch.current_city, {b});
-  Tensor e_cand = EmbedCitySeq(sp, batch.candidate, {b});
+  Tensor e_lbs = tensor::EmbeddingLookup(city_table, batch.current_city, {b});
+  Tensor e_cand = tensor::EmbeddingLookup(city_table, batch.candidate, {b});
 
   // PEC: the attention-focused user preference vector v_L. It reads only
   // the behaviour sequences, never the candidate, so it runs on the U
@@ -104,8 +116,10 @@ Tensor RoleEncoder::Forward(const data::TaskBatch& batch) {
     }
   });
   const int64_t u = ws->count;
-  Tensor e_long = EmbedCitySeq(sp, ws->long_seq, {u, batch.t_long});
-  Tensor e_short = EmbedCitySeq(sp, ws->short_seq, {u, batch.t_short});
+  Tensor e_long =
+      tensor::EmbeddingLookup(city_table, ws->long_seq, {u, batch.t_long});
+  Tensor e_short =
+      tensor::EmbeddingLookup(city_table, ws->short_seq, {u, batch.t_short});
   Tensor v_l_distinct =
       pec_.Forward(e_long, ws->long_pad, e_short, ws->short_pad);
   Tensor v_l = tensor::EmbeddingLookup(v_l_distinct, ws->row_to_distinct, {b});
@@ -145,6 +159,55 @@ OdnetModel::Output OdnetModel::Forward(const data::OdBatch& batch) {
   return Output{head.logit_o, head.logit_d};
 }
 
+OdnetModel::Output OdnetModel::ForwardServing(const data::OdBatch& batch) {
+  Tensor q_o = origin_encoder_.ForwardServing(batch.origin);
+  Tensor q_d = destination_encoder_.ForwardServing(batch.destination);
+  OdJlc::Output head = jlc_.Forward(q_o, q_d);
+  return Output{head.logit_o, head.logit_d};
+}
+
+namespace {
+
+// One build is one model version: both roles' tables. The gauges describe
+// the latest build; an exactly-zero entry is a node whose last ReLU
+// (Algorithm 1 line 5) output nothing in that dimension.
+struct TableInstruments {
+  telemetry::Counter* builds;
+  telemetry::Gauge* entries;
+  telemetry::Gauge* zero_entries;
+
+  static TableInstruments& Get() {
+    static TableInstruments* in = [] {
+      auto& reg = telemetry::TelemetryRegistry::Get();
+      auto* i = new TableInstruments();
+      i->builds = reg.GetCounter("core.hsgc.table_builds");
+      i->entries = reg.GetGauge("core.hsgc.table_entries");
+      i->zero_entries = reg.GetGauge("core.hsgc.table_zero_entries");
+      return i;
+    }();
+    return *in;
+  }
+};
+
+}  // namespace
+
+void OdnetModel::EnsureServingTables() {
+  if (!config_.use_hsgc || origin_encoder_.has_serving_tables()) return;
+  int64_t entries = 0;
+  int64_t zeros = 0;
+  for (RoleEncoder* encoder : {&origin_encoder_, &destination_encoder_}) {
+    const Hsgc::Tables& tables = encoder->BuildServingTables();
+    for (const Tensor* t : {&tables.users, &tables.cities}) {
+      entries += t->numel();
+      zeros += std::count(t->data(), t->data() + t->numel(), 0.0f);
+    }
+  }
+  TableInstruments& in = TableInstruments::Get();
+  in.builds->Add(1);
+  in.entries->Set(entries);
+  in.zero_entries->Set(zeros);
+}
+
 Tensor OdnetModel::Loss(const data::OdBatch& batch) {
   Output out = Forward(batch);
   const int64_t b = batch.origin.batch;
@@ -170,11 +233,12 @@ Tensor OdnetModel::Loss(const data::OdBatch& batch) {
 
 std::pair<std::vector<double>, std::vector<double>> OdnetModel::Predict(
     const data::OdBatch& batch) {
+  EnsureServingTables();
   tensor::NoGradGuard guard;
   // Op results lease from the thread's arena for the duration of the call;
   // the probabilities are copied out before the scope resets it.
   tensor::ArenaScope arena(tensor::BufferArena::ThreadLocal());
-  Output out = Forward(batch);
+  Output out = ForwardServing(batch);
   Tensor p_o = tensor::Sigmoid(out.logit_o);
   Tensor p_d = tensor::Sigmoid(out.logit_d);
   std::vector<double> po(p_o.vec().begin(), p_o.vec().end());
@@ -238,6 +302,8 @@ void PublishMemoryPlanStats(const tensor::MemoryPlanStats& m) {
 std::pair<std::vector<double>, std::vector<double>> OdnetModel::PredictPlanned(
     const data::OdBatch& batch) {
   if (!config_.capture_serving_plans) return Predict(batch);
+  // Plans gather from the tables, so they are built outside any capture.
+  EnsureServingTables();
   const std::string sig =
       ShapeSignature(batch, origin_encoder_.DistinctSequenceRows(batch.origin),
                      destination_encoder_.DistinctSequenceRows(
@@ -251,7 +317,7 @@ std::pair<std::vector<double>, std::vector<double>> OdnetModel::PredictPlanned(
     std::vector<Tensor> outs;
     entry.plan = tensor::GraphPlan::CaptureInference(
         [this, bound]() {
-          Output out = Forward(*bound);
+          Output out = ForwardServing(*bound);
           return std::vector<Tensor>{tensor::Sigmoid(out.logit_o),
                                      tensor::Sigmoid(out.logit_d)};
         },
@@ -281,7 +347,11 @@ std::pair<std::vector<double>, std::vector<double>> OdnetModel::PredictPlanned(
   return {std::move(po), std::move(pd)};
 }
 
-void OdnetModel::InvalidateServingPlans() { serving_plans_.clear(); }
+void OdnetModel::InvalidateServingPlans() {
+  serving_plans_.clear();
+  origin_encoder_.DropServingTables();
+  destination_encoder_.DropServingTables();
+}
 
 std::vector<double> OdnetModel::ServeScores(const data::OdBatch& batch) {
   auto [po, pd] = Predict(batch);

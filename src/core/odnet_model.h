@@ -34,12 +34,31 @@ class RoleEncoder : public nn::Module {
               graph::Metapath rho, int64_t num_users, int64_t num_cities,
               const OdnetConfig& config, util::Rng* rng);
 
-  /// Encodes a role-view batch into q: [B, q_dim()]. PEC runs once per
-  /// distinct behaviour sequence of the batch (data::DistinctSequences) and
-  /// v_L is gathered back to the B rows. When a plan capture is active, the
+  /// Encodes a role-view batch into q: [B, q_dim()], running the HSGC with
+  /// stochastic sampling (the training path). PEC runs once per distinct
+  /// behaviour sequence of the batch (data::DistinctSequences) and v_L is
+  /// gathered back to the B rows. When a plan capture is active, the
   /// caller must keep `batch` alive and address-stable across replays (a
   /// bound batch).
   tensor::Tensor Forward(const data::TaskBatch& batch);
+
+  /// The serving path: like Forward, but e_user, e_lbs, e_cand and PEC's
+  /// city sequences are gathered from the node tables, so no HSGC runs.
+  /// With an HSGC the tables are the BuildServingTables snapshot, which
+  /// must exist; without one they are the live id embeddings and this
+  /// equals Forward. Same capture contract as Forward.
+  tensor::Tensor ForwardServing(const data::TaskBatch& batch);
+
+  /// Snapshots the HSGC's level-K output of every user and city from the
+  /// current weights (Hsgc::BuildInferenceTables) and returns it. Requires
+  /// an HSGC.
+  const Hsgc::Tables& BuildServingTables();
+
+  /// Releases the snapshot (no-op without one).
+  void DropServingTables() { tables_ = Hsgc::Tables{}; }
+
+  /// True once BuildServingTables has run and the snapshot was not dropped.
+  bool has_serving_tables() const { return tables_.users.defined(); }
 
   /// Number of distinct behaviour sequences in `batch` (U): the leading
   /// dimension PEC runs at, hence part of a serving plan's signature.
@@ -52,9 +71,11 @@ class RoleEncoder : public nn::Module {
   int64_t q_dim() const;
 
  private:
-  tensor::Tensor EmbedCitySeq(const Hsgc::State* state,
-                              const std::vector<int64_t>& ids,
-                              const tensor::Shape& shape) const;
+  /// The part of Forward shared by both paths: `e_user` is [B, d] and
+  /// `city_table` [num_cities, d] is what every city id embeds through.
+  tensor::Tensor Encode(const data::TaskBatch& batch,
+                        const tensor::Tensor& e_user,
+                        const tensor::Tensor& city_table);
 
   OdnetConfig config_;
   int64_t d_;
@@ -62,6 +83,7 @@ class RoleEncoder : public nn::Module {
   std::unique_ptr<nn::Embedding> user_embed_;  // fallback (no HSGC)
   std::unique_ptr<nn::Embedding> city_embed_;  // fallback (no HSGC)
   Pec pec_;
+  Hsgc::Tables tables_;  // serving snapshot; undefined until built
   // Distinct sequences of the batch being encoded. Rebuilt by a host stage
   // of every Forward (and plan replay); the PEC inputs and the v_L gather
   // read its vectors, whose addresses never change.
@@ -92,7 +114,9 @@ class OdnetModel : public nn::Module {
 
   /// Inference (no tape): per-sample (p_O, p_D) probabilities. Eager, with
   /// op results leased from the thread's BufferArena for the duration of
-  /// the call.
+  /// the call. Reads the HSGC node tables (RoleEncoder::ForwardServing),
+  /// building them first when missing, so a row's score is a function of
+  /// the weights and the row alone.
   std::pair<std::vector<double>, std::vector<double>> Predict(
       const data::OdBatch& batch);
 
@@ -123,7 +147,10 @@ class OdnetModel : public nn::Module {
     return serving_plan_stats_;
   }
 
-  /// Drops all captured serving plans (next batches re-capture).
+  /// Drops all captured serving plans and the HSGC node tables: the next
+  /// Predict/PredictPlanned rebuilds the tables from the current weights
+  /// and re-captures. Call after changing the weights outside
+  /// OdnetTrainer::Train (which calls it), or the tables serve the old ones.
   void InvalidateServingPlans();
 
   /// Serving score of Eq. 11: theta * p_O + (1 - theta) * p_D.
@@ -148,6 +175,13 @@ class OdnetModel : public nn::Module {
     std::unique_ptr<data::OdBatch> bound;
     std::shared_ptr<tensor::GraphPlan> plan;
   };
+
+  /// Forward over the serving path (RoleEncoder::ForwardServing).
+  Output ForwardServing(const data::OdBatch& batch);
+
+  /// Builds both roles' node tables unless they exist (HSGC variants only).
+  /// Never under a plan capture: the build would be recorded.
+  void EnsureServingTables();
 
   OdnetConfig config_;
   util::Rng init_rng_;  // initialization stream; must precede the encoders

@@ -69,8 +69,12 @@ util::Status ValidateTrainingConfig(const OdnetConfig& config) {
 TrainStats OdnetTrainer::Train() {
   const util::Status valid = ValidateTrainingConfig(model_->config());
   ODNET_CHECK(valid.ok()) << valid.ToString();
-  return model_->config().train_workers > 1 ? TrainDataParallel()
-                                            : TrainSingleWorker();
+  const TrainStats stats = model_->config().train_workers > 1
+                               ? TrainDataParallel()
+                               : TrainSingleWorker();
+  // The serving node tables snapshot the weights this run just changed.
+  model_->InvalidateServingPlans();
+  return stats;
 }
 
 TrainStats OdnetTrainer::TrainSingleWorker() {
@@ -139,8 +143,14 @@ TrainStats OdnetTrainer::TrainSingleWorker() {
         tensor::Tensor loss = model_->Loss(current);
         optimizer.ZeroGrad();
         loss.Backward();
-        optimizer.ClipGradNorm(5.0);
-        optimizer.Step();
+        {
+          telemetry::SpanScope span("Optimizer.ClipGradNorm", "optim");
+          optimizer.ClipGradNorm(5.0);
+        }
+        {
+          telemetry::SpanScope span("Optimizer.Step", "optim");
+          optimizer.Step();
+        }
         loss_value = loss.item();
       }
       if (step_start_ns != 0) {
@@ -294,36 +304,45 @@ TrainStats OdnetTrainer::TrainDataParallel() {
       // — a shard only writes rows it owns, and every row sees its slice
       // contributions in ascending slice order whatever the shard/thread
       // count. Slice weights make the combined gradient the batch mean.
-      optimizer.ZeroGrad();
-      for (int g = 0; g < num_slices; ++g) {
-        if (results[static_cast<size_t>(g)].count == 0) continue;
-        for (size_t p = 0; p < num_params; ++p) {
-          tensor::MarkDeltaRows(params[p],
-                                results[static_cast<size_t>(g)].deltas[p]);
+      {
+        telemetry::SpanScope reduce_span("Trainer.ReduceDeltas", "train");
+        optimizer.ZeroGrad();
+        for (int g = 0; g < num_slices; ++g) {
+          if (results[static_cast<size_t>(g)].count == 0) continue;
+          for (size_t p = 0; p < num_params; ++p) {
+            tensor::MarkDeltaRows(params[p],
+                                  results[static_cast<size_t>(g)].deltas[p]);
+          }
         }
-      }
-      tensor::ComputeContext::Get().ParallelFor(
-          num_shards, 1, [&](int64_t s0, int64_t s1) {
-            for (int64_t s = s0; s < s1; ++s) {
-              for (size_t p = 0; p < num_params; ++p) {
-                for (int g = 0; g < num_slices; ++g) {
-                  const SliceResult& r = results[static_cast<size_t>(g)];
-                  if (r.count == 0) continue;
-                  const float scale = static_cast<float>(r.count) /
-                                      static_cast<float>(batch_count);
-                  const size_t param = p;
-                  const int shard = static_cast<int>(s);
-                  tensor::AccumulateGradDeltaRows(
-                      params[p], r.deltas[p], scale,
-                      [&store, param, shard](int64_t row) {
-                        return store.Owns(param, shard, row);
-                      });
+        tensor::ComputeContext::Get().ParallelFor(
+            num_shards, 1, [&](int64_t s0, int64_t s1) {
+              for (int64_t s = s0; s < s1; ++s) {
+                for (size_t p = 0; p < num_params; ++p) {
+                  for (int g = 0; g < num_slices; ++g) {
+                    const SliceResult& r = results[static_cast<size_t>(g)];
+                    if (r.count == 0) continue;
+                    const float scale = static_cast<float>(r.count) /
+                                        static_cast<float>(batch_count);
+                    const size_t param = p;
+                    const int shard = static_cast<int>(s);
+                    tensor::AccumulateGradDeltaRows(
+                        params[p], r.deltas[p], scale,
+                        [&store, param, shard](int64_t row) {
+                          return store.Owns(param, shard, row);
+                        });
+                  }
                 }
               }
-            }
-          });
-      optimizer.ClipGradNorm(5.0);
-      optimizer.Step();
+            });
+      }
+      {
+        telemetry::SpanScope span("Optimizer.ClipGradNorm", "optim");
+        optimizer.ClipGradNorm(5.0);
+      }
+      {
+        telemetry::SpanScope span("Optimizer.Step", "optim");
+        optimizer.Step();
+      }
 
       double loss_value = 0.0;
       for (int g = 0; g < num_slices; ++g) {

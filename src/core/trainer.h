@@ -56,6 +56,8 @@ class OdnetTrainer {
 
   /// Runs config.epochs epochs; deterministic given the model config seed.
   /// CHECK-fails when ValidateTrainingConfig rejects the model's config.
+  /// Ends with OdnetModel::InvalidateServingPlans, so the next prediction
+  /// rebuilds the serving node tables from the trained weights.
   TrainStats Train();
 
   /// Factory for worker model replicas, required when train_workers > 1.

@@ -135,6 +135,63 @@ TEST(HsgcTest, SpatialWeightToggleChangesOutput) {
   EXPECT_GT(diff, 0.0);
 }
 
+bool SameRow(const Tensor& a, int64_t ra, const Tensor& b, int64_t rb) {
+  const int64_t d = a.dim(1);
+  return d == b.dim(1) &&
+         std::memcmp(a.data() + ra * d, b.data() + rb * d,
+                     static_cast<size_t>(d) * sizeof(float)) == 0;
+}
+
+TEST(HsgcTest, InferenceTablesMatchPureOnTheFlyBitwise) {
+  Fixture& f = SharedFixture();
+  OdnetConfig config;
+  config.neighbor_cap = 2;  // most nodes then have more neighbors than cap
+  // Users whose neighborhood exceeds the cap: only they exercise sampling.
+  std::vector<int64_t> sampled_users;
+  for (int64_t u = 0; u < f.hsg->num_users(); ++u) {
+    if (static_cast<int64_t>(
+            f.hsg->UserNeighborCities(u, graph::Metapath::kDeparture)
+                .size()) > config.neighbor_cap) {
+      sampled_users.push_back(u);
+    }
+  }
+  ASSERT_GE(sampled_users.size(), 3u);
+  util::Rng rng(6);
+  Hsgc hsgc(f.hsg.get(), graph::Metapath::kDeparture, config, &rng);
+  const Hsgc::Tables tables = hsgc.BuildInferenceTables();
+  ASSERT_EQ(tables.users.shape(),
+            (tensor::Shape{f.hsg->num_users(), config.embed_dim}));
+  ASSERT_EQ(tables.cities.shape(),
+            (tensor::Shape{f.hsg->num_cities(), config.embed_dim}));
+
+  // Training passes in between advance the stochastic stream only.
+  hsgc.EmbedUsers(hsgc.Forward(), sampled_users);
+  tensor::NoGradGuard no_grad;
+  const Hsgc::State state = hsgc.Forward(Hsgc::Sampling::kPure);
+  for (int64_t c = 0; c < f.hsg->num_cities(); ++c) {
+    EXPECT_TRUE(SameRow(tables.cities, c, state.city_levels.back(), c))
+        << "city " << c;
+  }
+  const int64_t last = f.hsg->num_users() - 1;
+  const std::vector<std::vector<int64_t>> subsets = {
+      {sampled_users[0]},
+      {last},
+      {sampled_users[2], 0, sampled_users[1], sampled_users[2]},
+      sampled_users};
+  for (const std::vector<int64_t>& ids : subsets) {
+    const Tensor rows = hsgc.EmbedUsers(state, ids, Hsgc::Sampling::kPure);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_TRUE(SameRow(tables.users, ids[i], rows, static_cast<int64_t>(i)))
+          << "user " << ids[i] << " of a " << ids.size() << "-user subset";
+    }
+  }
+  // The same weights always give the same tables.
+  const Hsgc::Tables again = hsgc.BuildInferenceTables();
+  for (int64_t u = 0; u <= last; ++u) {
+    EXPECT_TRUE(SameRow(tables.users, u, again.users, u)) << "user " << u;
+  }
+}
+
 // ----------------------------------------------------------------- PEC --
 
 TEST(PecTest, OutputShapeAndPadInvariance) {

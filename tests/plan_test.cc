@@ -19,6 +19,7 @@
 #include "gtest/gtest.h"
 #include "src/core/hsg_builder.h"
 #include "src/core/odnet_model.h"
+#include "src/core/trainer.h"
 #include "src/data/fliggy_simulator.h"
 #include "src/data/temporal_features.h"
 #include "src/tensor/buffer_arena.h"
@@ -778,10 +779,8 @@ TEST(PredictPlannedTest, SequenceLengthChangeRecaptures) {
 }
 
 TEST(PredictPlannedTest, HsgcTwinModelsAgreeBitwise) {
-  // With the HSGC, every forward advances the neighbor-sampling RNG, so the
-  // comparison runs twin models (identical seed): one serves eagerly, one
-  // through the plan cache. Replay re-runs the recorded sampling stages,
-  // advancing the twin's RNG exactly as eager evaluation would.
+  // Twin models (identical seed), each building its own HSGC node tables:
+  // one serves eagerly, one through the plan cache.
   Fixture& f = SharedFixture();
   core::OdnetConfig config = SmallModelConfig();
   core::OdnetModel eager_model(f.hsg.get(), f.dataset.num_users,
@@ -870,6 +869,86 @@ TEST(PredictPlannedTest, DistinctSequenceCountIsPartOfTheSignature) {
   expect_equal(one_user2, "U=1 replay");
   EXPECT_EQ(model.serving_plan_stats().captures, 2);
   EXPECT_EQ(model.serving_plan_stats().replays, 2);
+}
+
+// ------------------------------------------------- HSGC serving tables --
+
+using Scores = std::pair<std::vector<double>, std::vector<double>>;
+
+bool SameScores(const Scores& a, const Scores& b) {
+  return a.first == b.first && a.second == b.second;
+}
+
+// Share of exactly-zero entries in the latest table build is below one: a
+// dead HSGC (all-zero tables) would make stale and fresh tables agree.
+void ExpectLiveTables() {
+  auto& reg = telemetry::TelemetryRegistry::Get();
+  EXPECT_LT(reg.GetGauge("core.hsgc.table_zero_entries")->Value(),
+            reg.GetGauge("core.hsgc.table_entries")->Value());
+}
+
+TEST(ServingTablesTest, TrainingRefreshesTheTables) {
+  // Predict, train one more epoch, predict: the second prediction must be
+  // the one a twin holding the trained weights gives from fresh tables.
+  Fixture& f = SharedFixture();
+  core::OdnetConfig config = SmallModelConfig();
+  config.epochs = 1;
+  core::OdnetModel model(f.hsg.get(), f.dataset.num_users,
+                         f.dataset.num_cities, config);
+  data::BatchEncoder encoder(&f.dataset, f.temporal.get(),
+                             data::SequenceSpec{config.t_long,
+                                                config.t_short});
+  const data::OdBatch batch =
+      encoder.EncodeJoint(f.dataset.train_samples, 0, 8);
+  const Scores before = model.PredictPlanned(batch);
+  core::OdnetTrainer trainer(&model, &f.dataset, f.temporal.get());
+  trainer.Train();
+  const Scores after = model.PredictPlanned(batch);
+  ExpectLiveTables();
+  EXPECT_FALSE(SameScores(before, after));
+
+  core::OdnetModel twin(f.hsg.get(), f.dataset.num_users,
+                        f.dataset.num_cities, config);
+  twin.AliasParametersTo(model);
+  EXPECT_TRUE(SameScores(after, twin.PredictPlanned(batch)));
+  EXPECT_TRUE(SameScores(after, twin.Predict(batch)));
+}
+
+TEST(ServingTablesTest, InvalidateServingPlansRebuildsTheTables) {
+  Fixture& f = SharedFixture();
+  const core::OdnetConfig config = SmallModelConfig();
+  core::OdnetModel model(f.hsg.get(), f.dataset.num_users,
+                         f.dataset.num_cities, config);
+  data::BatchEncoder encoder(&f.dataset, f.temporal.get(),
+                             data::SequenceSpec{config.t_long,
+                                                config.t_short});
+  const data::OdBatch batch =
+      encoder.EncodeJoint(f.dataset.train_samples, 0, 8);
+  auto& reg = telemetry::TelemetryRegistry::Get();
+  const int64_t builds0 = reg.CounterValue("core.hsgc.table_builds");
+  const Scores first = model.Predict(batch);
+  EXPECT_TRUE(SameScores(model.PredictPlanned(batch), first));  // one build
+  EXPECT_EQ(reg.CounterValue("core.hsgc.table_builds"), builds0 + 1);
+  ExpectLiveTables();
+
+  // Change an HSGC weight in place: the tables are a snapshot, so serving
+  // keeps the old scores until the plans and tables are dropped.
+  for (auto& [name, p] : model.NamedParameters()) {
+    if (name.find("hsgc.w2.bias") == std::string::npos) continue;
+    float* w = p.mutable_data();
+    for (int64_t i = 0; i < p.numel(); ++i) w[i] += 0.5f;
+  }
+  EXPECT_TRUE(SameScores(model.PredictPlanned(batch), first));
+  EXPECT_EQ(reg.CounterValue("core.hsgc.table_builds"), builds0 + 1);
+  model.InvalidateServingPlans();
+  const Scores rebuilt = model.PredictPlanned(batch);
+  EXPECT_EQ(reg.CounterValue("core.hsgc.table_builds"), builds0 + 2);
+  EXPECT_FALSE(SameScores(rebuilt, first));
+
+  core::OdnetModel twin(f.hsg.get(), f.dataset.num_users,
+                        f.dataset.num_cities, config);
+  twin.AliasParametersTo(model);
+  EXPECT_TRUE(SameScores(rebuilt, twin.Predict(batch)));
 }
 
 }  // namespace

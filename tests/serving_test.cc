@@ -1,5 +1,6 @@
 #include <cmath>
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "gtest/gtest.h"
@@ -243,6 +244,58 @@ TEST(RankingServiceTest, RankCandidatesPreservesSet) {
   for (const data::OdPair& od : candidates) in.insert({od.origin, od.destination});
   for (const RankedFlight& rf : ranked) out.insert({rf.od.origin, rf.od.destination});
   EXPECT_EQ(in, out);
+}
+
+TEST(RankingServiceTest, OdnetScoresDoNotDependOnTrafficOrThreads) {
+  // ODNET with the HSGC: a user's scores are a function of the model
+  // version and the request alone — the same scored first after a table
+  // build, after other users, inside a shuffled sequence with repeats, and
+  // at 1 or 4 threads.
+  Fixture& f = SharedFixture();
+  core::OdnetConfig config;
+  config.embed_dim = 8;
+  config.num_heads = 2;
+  config.expert_dim = 8;
+  config.tower_hidden = 4;
+  config.epochs = 1;
+  config.seed = 5;
+  baselines::OdnetRecommender odnet("ODNET", &f.simulator.atlas(), config);
+  ASSERT_TRUE(odnet.Fit(f.dataset).ok());
+  RecallOptions options;
+  CandidateRecall recall(&f.dataset, &f.simulator.atlas(), options);
+  RankingService service(&odnet, &f.dataset, &recall);
+  std::vector<int64_t> users;
+  for (int64_t u = 0; users.size() < 6; ++u) {
+    if (!service.RecallFor(u).empty()) users.push_back(u);
+  }
+  auto score = [&service](int64_t u) {
+    return service.ScoreCandidates(u, service.RecallFor(u));
+  };
+
+  tensor::ComputeContext& ctx = tensor::ComputeContext::Get();
+  const int saved_threads = ctx.num_threads();
+  const int64_t saved_threshold = ctx.parallel_threshold();
+  ctx.SetNumThreads(1);
+  std::map<int64_t, std::vector<double>> alone;
+  for (int64_t u : users) {
+    odnet.InvalidateServingPlans();  // u is the first request of a version
+    alone[u] = score(u);
+  }
+  util::Rng rng(11);
+  for (int threads : {1, 4}) {
+    ctx.SetNumThreads(threads);
+    ctx.SetParallelThreshold(threads > 1 ? 64 : saved_threshold);
+    odnet.InvalidateServingPlans();
+    std::vector<int64_t> order = users;
+    order.insert(order.end(), users.begin(), users.end());
+    rng.Shuffle(&order);
+    for (int64_t u : order) {
+      EXPECT_EQ(score(u), alone[u]) << "user " << u << " at " << threads
+                                    << " threads";
+    }
+  }
+  ctx.SetNumThreads(saved_threads);
+  ctx.SetParallelThreshold(saved_threshold);
 }
 
 // ---------------------------------------------------------------- A/B ----
